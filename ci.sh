@@ -35,12 +35,12 @@ echo "==> exp-scale --quick smoke"
 # Hybrid-engine smoke: 10k bulk flows must all complete in-process.
 ./target/release/exp-scale --quick > /dev/null
 
-echo "==> shard determinism smoke (GFWSIM_SHARDS=1 vs 2)"
-# The sharded executor must be a pure throughput knob: the seed-pure
-# stdout of the quick run is byte-identical at any worker count.
-GFWSIM_SHARDS=1 ./target/release/exp-scale --quick > target/shards1.out
-GFWSIM_SHARDS=2 ./target/release/exp-scale --quick > target/shards2.out
-cmp target/shards1.out target/shards2.out
+echo "==> exp-scale --quick jobs determinism smoke (GFWSIM_JOBS=1 vs 2)"
+# The quick run's cells are runner jobs, so the worker count must be a
+# pure throughput knob: the seed-pure stdout is byte-identical.
+GFWSIM_JOBS=1 ./target/release/exp-scale --quick > target/scale_jobs1.out
+GFWSIM_JOBS=2 ./target/release/exp-scale --quick > target/scale_jobs2.out
+cmp target/scale_jobs1.out target/scale_jobs2.out
 
 echo "==> bench-report --check BENCH_scale.json"
 # The tracked hybrid-vs-packet scale trajectory: well-formed, and the

@@ -75,18 +75,6 @@ impl VerdictCounters {
         let t = self.stored_true.wrapping_add(self.missed_true);
         (t > 0).then(|| self.stored_true as f64 / t as f64)
     }
-
-    /// Fold another cell's counters into this one. Every field is a
-    /// plain sum, so merging in shard order is associative and the
-    /// result is independent of how hosts were partitioned.
-    pub fn merge(&mut self, other: &VerdictCounters) {
-        self.inspected = self.inspected.wrapping_add(other.inspected);
-        self.exempt = self.exempt.wrapping_add(other.exempt);
-        self.stored_true = self.stored_true.wrapping_add(other.stored_true);
-        self.stored_false = self.stored_false.wrapping_add(other.stored_false);
-        self.missed_true = self.missed_true.wrapping_add(other.missed_true);
-        self.passed_false = self.passed_false.wrapping_add(other.passed_false);
-    }
 }
 
 /// Per-connection GFW bookkeeping, one map entry per connection the tap

@@ -54,9 +54,6 @@ fn main() {
             "promoted",
             "demoted",
             "fluid bytes",
-            "shards",
-            "xshard pkts",
-            "windows",
             "peak queue",
             "wall ms",
             "events/s",
@@ -81,9 +78,6 @@ fn main() {
                 s.flows_promoted.to_string(),
                 s.flows_demoted.to_string(),
                 s.fluid_bytes_modeled.to_string(),
-                s.shards.to_string(),
-                s.cross_shard_packets.to_string(),
-                s.sync_windows.to_string(),
                 s.peak_queue_depth.to_string(),
                 format!("{:.1}", r.wall.as_secs_f64() * 1e3),
                 format!("{:.0}", events_per_sec(s.events, r.wall)),
@@ -101,9 +95,6 @@ fn main() {
             total.flows_promoted.to_string(),
             total.flows_demoted.to_string(),
             total.fluid_bytes_modeled.to_string(),
-            total.shards.to_string(),
-            total.cross_shard_packets.to_string(),
-            total.sync_windows.to_string(),
             total.peak_queue_depth.to_string(),
             format!("{:.1}", total_wall.as_secs_f64() * 1e3),
             format!("{:.0}", events_per_sec(total.events, total_wall)),

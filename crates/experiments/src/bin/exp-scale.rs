@@ -6,17 +6,17 @@
 //!   processes (one per engine × flow-count configuration, so each
 //!   peak-RSS reading is isolated) and writes `BENCH_scale.json` with
 //!   flows/sec and peak RSS at 10k/100k flows for both engines plus
-//!   1M flows for the hybrid engine, unsharded and sharded (8 cells at
-//!   1, 4 and 8 executor workers).
+//!   1M flows for the hybrid engine, as one simulator and as 8
+//!   independent cells run as runner jobs.
 //! * `exp-scale --quick [--flows N]` — in-process smoke run: N flows
-//!   (default 10k) through the sharded executor (4 cells), honouring
-//!   `GFWSIM_ENGINE` and `GFWSIM_SHARDS`. Seed-pure counters go to
-//!   stdout — byte-identical at any worker count, which is what the
-//!   `ci.sh` shard smoke step diffs — while wall-clock and RSS go to
-//!   stderr. Used by `ci.sh`.
-//! * `exp-scale --measure <engine> <flows> [<cells> <workers>]` —
-//!   child mode: runs one configuration and prints `key=value` lines
-//!   for the parent.
+//!   (default 10k) split over 4 cells, honouring `GFWSIM_ENGINE` and
+//!   `--jobs`/`GFWSIM_JOBS`. Seed-pure counters go to stdout —
+//!   byte-identical at any worker count, which is what the `ci.sh`
+//!   jobs smoke step diffs — while wall-clock and RSS go to stderr.
+//!   Used by `ci.sh`.
+//! * `exp-scale --measure <engine> <flows> [<cells>]` — child mode:
+//!   runs one configuration (default 1 cell) on `--jobs` workers and
+//!   prints `key=value` lines for the parent.
 //!
 //! Wall-clock and RSS are machine-facts; everything seed-pure about
 //! this workload is rendered by `exp-all --only scale` instead.
@@ -27,17 +27,15 @@ use netsim::EngineMode;
 
 const SEED: u64 = 2020;
 
-/// Cell count for the sharded 1M-flow configurations and the quick run.
-const SHARD_CELLS: usize = 8;
+/// Cell count for the split 1M-flow configuration and the quick run.
+const BULK_CELLS: usize = 8;
 const QUICK_CELLS: usize = 4;
 
 struct Config {
     engine: EngineMode,
     flows: usize,
-    /// Shard cells (0 = unsharded [`scale::measure`] path).
+    /// Independent cells, one runner job each (1 = one simulator).
     cells: usize,
-    /// Executor worker threads (ignored when `cells` is 0).
-    workers: usize,
     /// JSON key stem, e.g. `hybrid_100k`.
     stem: &'static str,
 }
@@ -46,58 +44,38 @@ const CONFIGS: &[Config] = &[
     Config {
         engine: EngineMode::Packet,
         flows: 10_000,
-        cells: 0,
-        workers: 0,
+        cells: 1,
         stem: "packet_10k",
     },
     Config {
         engine: EngineMode::Packet,
         flows: 100_000,
-        cells: 0,
-        workers: 0,
+        cells: 1,
         stem: "packet_100k",
     },
     Config {
         engine: EngineMode::Hybrid,
         flows: 10_000,
-        cells: 0,
-        workers: 0,
+        cells: 1,
         stem: "hybrid_10k",
     },
     Config {
         engine: EngineMode::Hybrid,
         flows: 100_000,
-        cells: 0,
-        workers: 0,
+        cells: 1,
         stem: "hybrid_100k",
     },
     Config {
         engine: EngineMode::Hybrid,
         flows: 1_000_000,
-        cells: 0,
-        workers: 0,
+        cells: 1,
         stem: "hybrid_1m",
     },
     Config {
         engine: EngineMode::Hybrid,
         flows: 1_000_000,
-        cells: SHARD_CELLS,
-        workers: 1,
-        stem: "hybrid_1m_shards1",
-    },
-    Config {
-        engine: EngineMode::Hybrid,
-        flows: 1_000_000,
-        cells: SHARD_CELLS,
-        workers: 4,
-        stem: "hybrid_1m_shards4",
-    },
-    Config {
-        engine: EngineMode::Hybrid,
-        flows: 1_000_000,
-        cells: SHARD_CELLS,
-        workers: 8,
-        stem: "hybrid_1m_shards8",
+        cells: BULK_CELLS,
+        stem: "hybrid_1m_cells8",
     },
 ];
 
@@ -119,13 +97,9 @@ fn engine_name(e: EngineMode) -> &'static str {
     }
 }
 
-fn run_measure(engine: EngineMode, flows: usize, cells: usize, workers: usize) {
+fn run_measure(engine: EngineMode, flows: usize, cells: usize) {
     let started = std::time::Instant::now();
-    let m = if cells == 0 {
-        scale::measure(engine, flows, SEED)
-    } else {
-        scale::measure_sharded(engine, flows, cells, workers, SEED)
-    };
+    let m = scale::measure_cells(engine, flows, cells, SEED);
     let wall = started.elapsed();
     let wall_ms = wall.as_secs_f64() * 1e3;
     let fps = flows as f64 / wall.as_secs_f64().max(1e-9);
@@ -149,10 +123,9 @@ fn spawn_child(cfg: &Config) -> Row {
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("--measure")
         .arg(engine_name(cfg.engine))
-        .arg(cfg.flows.to_string());
-    if cfg.cells > 0 {
-        cmd.arg(cfg.cells.to_string()).arg(cfg.workers.to_string());
-    }
+        .arg(cfg.flows.to_string())
+        .arg(cfg.cells.to_string())
+        .arg(format!("--jobs={}", runner::effective_jobs()));
     let out = cmd.output().expect("exp-scale: spawn child");
     assert!(
         out.status.success(),
@@ -176,7 +149,7 @@ fn spawn_child(cfg: &Config) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], speedup_100k: f64, speedup_shards8: f64) {
+fn write_json(path: &str, rows: &[Row], speedup_100k: f64) {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": 1,\n");
@@ -187,6 +160,7 @@ fn write_json(path: &str, rows: &[Row], speedup_100k: f64, speedup_shards8: f64)
         "  \"parallelism\": {},\n",
         runner::default_parallelism()
     ));
+    s.push_str(&format!("  \"jobs\": {},\n", runner::effective_jobs()));
     for r in rows {
         s.push_str(&format!(
             "  \"{}_flows_per_sec\": {:.1},\n",
@@ -195,9 +169,6 @@ fn write_json(path: &str, rows: &[Row], speedup_100k: f64, speedup_shards8: f64)
         s.push_str(&format!("  \"{}_rss_kb\": {},\n", r.stem, r.rss_kb));
         s.push_str(&format!("  \"{}_wall_ms\": {:.1},\n", r.stem, r.wall_ms));
     }
-    s.push_str(&format!(
-        "  \"speedup_shards8_1m\": {speedup_shards8:.2},\n"
-    ));
     s.push_str(&format!("  \"speedup_flows_100k\": {speedup_100k:.2}\n"));
     s.push_str("}\n");
     std::fs::write(path, s).unwrap_or_else(|e| panic!("exp-scale: write {path}: {e}"));
@@ -217,9 +188,12 @@ fn main() {
             .get(i + 2)
             .and_then(|v| v.parse().ok())
             .expect("exp-scale --measure: bad flow count");
-        let cells: usize = args.get(i + 3).and_then(|v| v.parse().ok()).unwrap_or(0);
-        let workers: usize = args.get(i + 4).and_then(|v| v.parse().ok()).unwrap_or(1);
-        run_measure(engine, flows, cells, workers);
+        let cells: usize = args
+            .get(i + 3)
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(1);
+        run_measure(engine, flows, cells);
         return;
     }
 
@@ -231,18 +205,16 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(10_000);
         let engine = experiments::engine_mode();
-        let workers = experiments::shards();
         let started = std::time::Instant::now();
-        let m = scale::measure_sharded(engine, flows, QUICK_CELLS, workers, SEED);
+        let m = scale::measure_cells(engine, flows, QUICK_CELLS, SEED);
         let wall = started.elapsed();
         assert_eq!(
             m.completed, flows as u64,
             "exp-scale --quick: not every transfer completed"
         );
-        // Stdout carries only seed-pure counters: the ci.sh shard smoke
-        // step diffs this line across GFWSIM_SHARDS values, and the
-        // shard_determinism suite diffs it across the full worker/
-        // engine/jobs grid. Machine-facts go to stderr.
+        // Stdout carries only seed-pure counters: the ci.sh jobs smoke
+        // step and the parallel_determinism suite diff this line across
+        // worker counts. Machine-facts go to stderr.
         println!(
             "exp-scale quick: engine={} flows={} cells={} completed={} \
              events={} promoted={}",
@@ -255,7 +227,7 @@ fn main() {
         );
         eprintln!(
             "exp-scale quick: {} workers, {:.1} ms, peak rss {} kB",
-            workers,
+            runner::effective_jobs(),
             wall.as_secs_f64() * 1e3,
             runner::peak_rss_kb(),
         );
@@ -292,13 +264,7 @@ fn main() {
     };
     let speedup = fps_of("hybrid_100k") / fps_of("packet_100k").max(1e-9);
     println!("\nspeedup at 100k flows: {speedup:.2}x (hybrid over packet)");
-    let speedup_shards8 = fps_of("hybrid_1m_shards8") / fps_of("hybrid_1m_shards1").max(1e-9);
-    println!(
-        "speedup at 1M flows, 8 workers over 1: {speedup_shards8:.2}x \
-         ({} hardware threads available)",
-        runner::default_parallelism()
-    );
 
-    write_json(&out_path, &rows, speedup, speedup_shards8);
+    write_json(&out_path, &rows, speedup);
     println!("wrote {out_path}");
 }

@@ -26,7 +26,7 @@ use netsim::conn::TcpTuning;
 use netsim::host::HostConfig;
 use netsim::sim::SimStats;
 use netsim::time::{Duration, SimTime};
-use netsim::{EngineMode, SimConfig, Simulator};
+use netsim::{EngineMode, LinkBandwidth, SimConfig, Simulator};
 use trafficgen::drivers::{BulkTransferClient, Sample};
 
 /// Gap between successive connection arrivals. With mean transfer size
@@ -65,8 +65,53 @@ pub struct Measured {
 
 /// Run the bulk workload once under `engine`.
 pub fn measure(engine: EngineMode, flows: usize, seed: u64) -> Measured {
+    run_cell(engine, flows, LinkBandwidth::default(), seed)
+}
+
+/// Run the bulk workload partitioned into `cells` independent cells,
+/// one [`crate::runner`] job each.
+///
+/// Each cell gets its own client/sink pair, an even share of the flow
+/// count, and a `1/cells` slice of the border bandwidth, so the
+/// aggregate workload offers the same load to the same total capacity
+/// as [`measure`] — the contention regime (ρ ≈ 0.5) is preserved while
+/// the event queues shrink by `cells`×. Flows never cross cells, and
+/// per-cell seeds are derived from the cell index, so the counters are
+/// a pure function of `(engine, flows, cells, seed)`: the runner's
+/// worker count only changes wall-clock, never output.
+pub fn measure_cells(engine: EngineMode, flows: usize, cells: usize, seed: u64) -> Measured {
+    let bandwidth = LinkBandwidth::default().divided(cells as u64);
+    let (per_cell, remainder) = (flows / cells, flows % cells);
+    let jobs: Vec<_> = (0..cells)
+        .map(|idx| {
+            let cell_flows = per_cell + usize::from(idx < remainder);
+            let cell_seed = seed ^ (idx as u64).wrapping_mul(0x9E37);
+            move || run_cell(engine, cell_flows, bandwidth, cell_seed)
+        })
+        .collect();
+    // Merge in cell order: the totals are partition-order deterministic.
+    let mut merged = Measured {
+        flows: 0,
+        completed: 0,
+        bytes: 0,
+        stats: SimStats::default(),
+    };
+    for m in crate::runner::run_jobs(jobs) {
+        merged.flows += m.flows;
+        merged.completed += m.completed;
+        merged.bytes += m.bytes;
+        merged.stats.merge(&m.stats);
+    }
+    merged
+}
+
+/// Build and run one simulator carrying `flows` bulk transfers over
+/// links of capacity `bandwidth`. Records its counters with the runner,
+/// so a cell run as a job credits them to that job exactly once.
+fn run_cell(engine: EngineMode, flows: usize, bandwidth: LinkBandwidth, seed: u64) -> Measured {
     let config = SimConfig {
         engine,
+        bandwidth,
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(config, seed);
@@ -90,79 +135,6 @@ pub fn measure(engine: EngineMode, flows: usize, seed: u64) -> Measured {
         bytes: bytes.get(),
         stats: sim.stats,
     }
-}
-
-/// Run the bulk workload partitioned into `cells` independent shard
-/// cells, advanced by `workers` executor threads.
-///
-/// Each cell gets its own client/sink pair, an even share of the flow
-/// count, and a `1/cells` slice of the border bandwidth, so the
-/// aggregate workload offers the same load to the same total capacity
-/// as [`measure`] — the contention regime (ρ ≈ 0.5) is preserved while
-/// the event queues shrink by `cells`×. Flows never cross cells, so the
-/// cells couple as [`netsim::Coupling::Isolated`]; per-cell seeds and
-/// conn-id bases are derived from the cell index, which makes the
-/// counters a pure function of `(engine, flows, cells, seed)` — the
-/// worker count only changes wall-clock, never output.
-pub fn measure_sharded(
-    engine: EngineMode,
-    flows: usize,
-    cells: usize,
-    workers: usize,
-    seed: u64,
-) -> Measured {
-    let per_cell = flows / cells;
-    let remainder = flows % cells;
-    let shard_cells: Vec<netsim::ShardCell<Measured>> = (0..cells)
-        .map(|idx| {
-            let cell_flows = per_cell + usize::from(idx < remainder);
-            netsim::ShardCell::new(move |idx| {
-                let config = SimConfig {
-                    engine,
-                    bandwidth: netsim::LinkBandwidth::default().divided(cells as u64),
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(config, seed ^ (idx as u64).wrapping_mul(0x9E37));
-                sim.set_conn_id_base((idx as u64) << 48);
-                let server = sim.add_host(HostConfig::outside("bulk-sink"));
-                let client = sim.add_host(HostConfig::china("bulk-client"));
-                let sink = sim.add_app(Box::new(FinSink));
-                sim.listen((server, 443), sink);
-                let bulk = BulkTransferClient::new(Sample::Uniform(SIZE_LO, SIZE_HI));
-                let (completed, bytes) = bulk.counters();
-                let app = sim.add_app(Box::new(bulk));
-                let mut at = SimTime::ZERO;
-                for _ in 0..cell_flows {
-                    sim.connect_at(at, app, client, (server, 443), TcpTuning::default());
-                    at += ARRIVAL_GAP;
-                }
-                let finish: netsim::shard::FinishFn<Measured> =
-                    Box::new(move |sim: Simulator| Measured {
-                        flows: cell_flows,
-                        completed: completed.get(),
-                        bytes: bytes.get(),
-                        stats: sim.stats,
-                    });
-                (sim, finish)
-            })
-        })
-        .collect();
-    let per_cell_out = netsim::run_sharded(shard_cells, workers, netsim::Coupling::Isolated);
-    // Merge in cell order: the totals are partition-order deterministic.
-    let mut merged = Measured {
-        flows: 0,
-        completed: 0,
-        bytes: 0,
-        stats: SimStats::default(),
-    };
-    for m in per_cell_out {
-        merged.flows += m.flows;
-        merged.completed += m.completed;
-        merged.bytes += m.bytes;
-        merged.stats.merge(&m.stats);
-    }
-    crate::runner::record_sim_stats(&merged.stats);
-    merged
 }
 
 /// Both engines over the same workload.
@@ -265,25 +237,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_worker_count_invariant() {
+    fn cell_run_is_worker_count_invariant() {
         // The partition (cells) is part of the scenario; the worker
         // count is pure execution. Counters must not see the difference.
         let flows = 600;
-        let one = measure_sharded(EngineMode::Hybrid, flows, 4, 1, 5);
-        let four = measure_sharded(EngineMode::Hybrid, flows, 4, 4, 5);
+        crate::runner::set_jobs(1);
+        let one = measure_cells(EngineMode::Hybrid, flows, 4, 5);
+        crate::runner::set_jobs(4);
+        let four = measure_cells(EngineMode::Hybrid, flows, 4, 5);
+        crate::runner::set_jobs(0);
         assert_eq!(one.completed, flows as u64);
         assert_eq!(one.completed, four.completed);
         assert_eq!(one.bytes, four.bytes);
         assert_eq!(one.stats.events, four.stats.events);
         assert_eq!(one.stats.packets_sent, four.stats.packets_sent);
-        assert_eq!(one.stats.shards, 4);
     }
 
     #[test]
-    fn sharded_run_conserves_flows_across_uneven_splits() {
+    fn cell_run_conserves_flows_across_uneven_splits() {
         // 601 flows over 4 cells: 151+150+150+150. Every transfer still
         // completes and the totals add up.
-        let m = measure_sharded(EngineMode::Packet, 601, 4, 2, 6);
+        let m = measure_cells(EngineMode::Packet, 601, 4, 6);
         assert_eq!(m.flows, 601);
         assert_eq!(m.completed, 601);
     }

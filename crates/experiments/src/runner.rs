@@ -294,6 +294,34 @@ mod tests {
     }
 
     #[test]
+    fn panicking_job_propagates_without_deadlock() {
+        // A job's panic must reach the caller instead of hanging the
+        // pool; the watchdog turns a hang into a failure. With two
+        // workers `std::thread::scope` re-raises with its own message,
+        // so only propagation is asserted, not the payload.
+        for workers in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let jobs: Vec<_> = (0..4)
+                    .map(|i| {
+                        move || {
+                            if i == 1 {
+                                panic!("job exploded");
+                            }
+                        }
+                    })
+                    .collect();
+                let caught = std::panic::catch_unwind(|| run_jobs_with(jobs, workers));
+                tx.send(caught.is_err()).expect("watchdog gone");
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("run_jobs_with hung at {workers} workers"));
+            assert!(panicked, "panic swallowed at {workers} workers");
+        }
+    }
+
+    #[test]
     fn parse_jobs_arg_forms() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(parse_jobs_arg(&args(&["exp", "--jobs", "4"])), Some(4));

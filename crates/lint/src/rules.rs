@@ -76,14 +76,11 @@ const T1_TOKENS: &[&str] = &[
     "rayon",
 ];
 
-/// The places threads are allowed: the experiment run engine and the
-/// simulator's shard executor. Both get their parallelism by building
-/// whole `Simulator`s per worker thread — the simulators themselves
-/// stay single-threaded, which is exactly the property T1 protects.
-const T1_EXEMPT: &[&str] = &[
-    "crates/experiments/src/runner.rs",
-    "crates/netsim/src/shard.rs",
-];
+/// The one place threads are allowed: the experiment run engine. It
+/// gets its parallelism by building whole `Simulator`s per worker
+/// thread — the simulators themselves stay single-threaded, which is
+/// exactly the property T1 protects.
+const T1_EXEMPT: &str = "crates/experiments/src/runner.rs";
 
 /// The scheduling structure T2 bans. Both the simulator's event queue
 /// and the GFW scheduler replaced `BinaryHeap<Reverse<..>>` with the
@@ -197,7 +194,7 @@ pub fn t1_thread_isolation(ws: &Workspace, report: &mut Report) {
     for prefix in prefixes {
         let rels: Vec<String> = ws
             .sources_under(&prefix)
-            .filter(|f| !T1_EXEMPT.contains(&f.rel.as_str()))
+            .filter(|f| f.rel != T1_EXEMPT)
             .map(|f| f.rel.clone())
             .collect();
         for rel in rels {

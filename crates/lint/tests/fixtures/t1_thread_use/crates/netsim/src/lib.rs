@@ -4,4 +4,3 @@
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod shard;

@@ -87,7 +87,6 @@ pub mod host;
 pub mod impair;
 pub mod internet;
 pub mod packet;
-pub mod shard;
 pub mod sim;
 pub mod tap;
 pub mod time;
@@ -99,6 +98,5 @@ pub use flow::{EngineMode, LinkBandwidth};
 pub use host::{HostConfig, Region};
 pub use impair::{ImpairmentSpec, LinkImpairment};
 pub use packet::{Packet, SocketAddr, TcpFlags};
-pub use shard::{run_sharded, Coupling, ShardCell};
-pub use sim::{SimConfig, SimStats, Simulator};
+pub use sim::{SimConfig, Simulator};
 pub use time::{Duration, SimTime};
