@@ -94,8 +94,10 @@ echo "==> release tests with overflow checks (hot-path crates)"
 CARGO_TARGET_DIR=target/ovf RUSTFLAGS="-C overflow-checks=on" \
     cargo test -q --release -p sscrypto -p netsim -p gfw-core -p shadowsocks
 
-echo "==> exp-all --jobs 2 smoke (quick scale)"
-./target/release/exp-all --jobs 2 --only fig2,fig10,table4 > /dev/null
+echo "==> exp-all --jobs 2 smoke (quick scale: fig2, fig7, fig10, fig11, table4)"
+# fig7 and fig11 launch the most probes, so they exercise the order
+# wake-up and the classifier hardest.
+./target/release/exp-all --jobs 2 --only fig2,fig7,fig10,fig11,table4 > /dev/null
 
 echo "==> exp-impair --jobs 2 smoke (quick scale)"
 ./target/release/exp-impair --jobs 2 > /dev/null

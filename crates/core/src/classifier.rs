@@ -52,10 +52,25 @@ pub enum Signature {
 /// Minimum probes before a verdict is attempted.
 pub const MIN_PROBES: usize = 8;
 
+/// Running counts of one server's reactions: everything `verdict`
+/// reads, updated in O(1) per record, so memory is O(servers) rather
+/// than O(probes).
 #[derive(Default, Clone)]
 struct ServerStats {
-    /// (kind, payload_len, reaction) triples.
-    records: Vec<(ProbeKind, usize, Reaction)>,
+    /// Reactions recorded.
+    total: usize,
+    /// Some replay was answered with data.
+    replay_data: bool,
+    /// FIN/ACKs to random probes of exactly 50 bytes.
+    fin50: usize,
+    /// Random probes of at least 51 bytes.
+    long: usize,
+    /// RSTs to random probes of at least 51 bytes.
+    long_rst: usize,
+    /// Timeouts of random probes of at least 51 bytes.
+    long_timeout: usize,
+    /// RSTs to random probes of 17–23 bytes.
+    short_rst: usize,
 }
 
 /// The per-server reaction classifier.
@@ -78,31 +93,121 @@ impl Classifier {
         payload_len: usize,
         reaction: Reaction,
     ) {
-        self.servers
-            .entry(server)
-            .or_default()
-            .records
-            .push((kind, payload_len, reaction));
+        let s = self.servers.entry(server).or_default();
+        s.total += 1;
+        if kind.is_replay() {
+            s.replay_data |= reaction == Reaction::Data;
+            return;
+        }
+        match (payload_len, reaction) {
+            (50, Reaction::FinAck) => s.fin50 += 1,
+            (17..=23, Reaction::Rst) => s.short_rst += 1,
+            _ => {}
+        }
+        if payload_len >= 51 {
+            s.long += 1;
+            match reaction {
+                Reaction::Rst => s.long_rst += 1,
+                Reaction::Timeout => s.long_timeout += 1,
+                _ => {}
+            }
+        }
     }
 
     /// Number of recorded reactions for a server.
     pub fn observations(&self, server: SocketAddr) -> usize {
-        self.servers.get(&server).map_or(0, |s| s.records.len())
+        self.servers.get(&server).map_or(0, |s| s.total)
     }
 
     /// Classify a server from its accumulated reactions.
     pub fn verdict(&self, server: SocketAddr) -> Verdict {
-        let Some(stats) = self.servers.get(&server) else {
+        let Some(s) = self.servers.get(&server) else {
             return Verdict::Inconclusive;
         };
-        let recs = &stats.records;
+        // 1. Proxied replay. The one shortcut that needs no statistics:
+        // data in response to a replay is damning on its own, and
+        // enough probes only raise the confidence.
+        if s.replay_data {
+            let confidence = if s.total < MIN_PROBES { 0.95 } else { 0.99 };
+            return Verdict::LikelyShadowsocks {
+                signature: Signature::RepliesToReplay,
+                confidence,
+            };
+        }
+        if s.total < MIN_PROBES {
+            return Verdict::Inconclusive;
+        }
+
+        // 2. FIN at exactly 50 bytes from random probes (Outline 1.0.6).
+        if s.fin50 >= 2 {
+            return Verdict::LikelyShadowsocks {
+                signature: Signature::OutlineFinAt50,
+                confidence: 0.9,
+            };
+        }
+
+        // Long random probes (≥ 51 bytes) carry the implementation's
+        // statistical signature.
+        if s.long >= 4 {
+            let rst = s.long_rst as f64 / s.long as f64;
+            if rst > 0.97 {
+                // Could be AEAD-threshold RST or unmasked stream; short
+                // probes disambiguate (AEAD stays silent below its
+                // threshold, unmasked stream RSTs even short probes).
+                let signature = if s.short_rst > 0 {
+                    Signature::StreamUnmasked
+                } else {
+                    Signature::AeadThresholdRst
+                };
+                return Verdict::LikelyShadowsocks {
+                    signature,
+                    confidence: 0.85,
+                };
+            }
+            let expected = 13.0 / 16.0;
+            if (rst - expected).abs() < 0.12 {
+                return Verdict::LikelyShadowsocks {
+                    signature: Signature::StreamMasked,
+                    confidence: 0.8,
+                };
+            }
+            let timeout = s.long_timeout as f64 / s.long as f64;
+            if timeout > 0.95 {
+                // Post-fix implementations are deliberately
+                // indistinguishable from silence.
+                return Verdict::LikelyShadowsocks {
+                    signature: Signature::AllSilent,
+                    confidence: 0.3,
+                };
+            }
+            return Verdict::NotShadowsocks;
+        }
+        Verdict::Inconclusive
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::packet::Ipv4;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn server() -> SocketAddr {
+        (Ipv4::new(172, 0, 0, 9), 8388)
+    }
+
+    /// The classifier as it was before it kept running counts: it
+    /// stored every `(kind, payload_len, reaction)` record and
+    /// rescanned them on each verdict. Kept as the oracle the counters
+    /// must agree with.
+    fn scan_verdict(recs: &[(ProbeKind, usize, Reaction)]) -> Verdict {
+        let replay_data = recs
+            .iter()
+            .any(|(k, _, r)| k.is_replay() && *r == Reaction::Data);
         if recs.len() < MIN_PROBES {
-            // One shortcut needs no statistics: data in response to a
-            // replay is damning on its own.
-            if recs
-                .iter()
-                .any(|(k, _, r)| k.is_replay() && *r == Reaction::Data)
-            {
+            if replay_data {
                 return Verdict::LikelyShadowsocks {
                     signature: Signature::RepliesToReplay,
                     confidence: 0.95,
@@ -110,19 +215,12 @@ impl Classifier {
             }
             return Verdict::Inconclusive;
         }
-
-        // 1. Proxied replay.
-        if recs
-            .iter()
-            .any(|(k, _, r)| k.is_replay() && *r == Reaction::Data)
-        {
+        if replay_data {
             return Verdict::LikelyShadowsocks {
                 signature: Signature::RepliesToReplay,
                 confidence: 0.99,
             };
         }
-
-        // 2. FIN at exactly 50 bytes from random probes (Outline 1.0.6).
         let fin50 = recs
             .iter()
             .filter(|(k, len, r)| !k.is_replay() && *len == 50 && *r == Reaction::FinAck)
@@ -133,9 +231,6 @@ impl Classifier {
                 confidence: 0.9,
             };
         }
-
-        // Long random probes (≥ 51 bytes) carry the implementation's
-        // statistical signature.
         let long: Vec<&(ProbeKind, usize, Reaction)> = recs
             .iter()
             .filter(|(k, len, _)| !k.is_replay() && *len >= 51)
@@ -144,9 +239,6 @@ impl Classifier {
             let rst = long.iter().filter(|(_, _, r)| *r == Reaction::Rst).count() as f64
                 / long.len() as f64;
             if rst > 0.97 {
-                // Could be AEAD-threshold RST or unmasked stream; short
-                // probes disambiguate (AEAD stays silent below its
-                // threshold, unmasked stream RSTs even short probes).
                 let short_rst = recs
                     .iter()
                     .filter(|(k, len, _)| !k.is_replay() && (17..=23).contains(len))
@@ -175,8 +267,6 @@ impl Classifier {
                 .count() as f64
                 / long.len() as f64;
             if timeout > 0.95 {
-                // Post-fix implementations are deliberately
-                // indistinguishable from silence.
                 return Verdict::LikelyShadowsocks {
                     signature: Signature::AllSilent,
                     confidence: 0.3,
@@ -186,15 +276,84 @@ impl Classifier {
         }
         Verdict::Inconclusive
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::packet::Ipv4;
+    const KINDS: [ProbeKind; 7] = [
+        ProbeKind::R1,
+        ProbeKind::R2,
+        ProbeKind::R3,
+        ProbeKind::R4,
+        ProbeKind::R5,
+        ProbeKind::Nr1,
+        ProbeKind::Nr2,
+    ];
 
-    fn server() -> SocketAddr {
-        (Ipv4::new(172, 0, 0, 9), 8388)
+    const REACTIONS: [Reaction; 5] = [
+        Reaction::Timeout,
+        Reaction::Rst,
+        Reaction::FinAck,
+        Reaction::Data,
+        Reaction::ConnectFailed,
+    ];
+
+    /// One random record for one of two servers. A replay with
+    /// probability `replays`%, else NR1/NR2. Lengths fall in the
+    /// classifier's bands: 17–23, exactly 50, ≥ 51 and anything below
+    /// 64. With probability `skew`% the reaction is `dominant`, so runs
+    /// reach the RST and timeout ratios the signatures test for.
+    fn random_record(
+        rng: &mut StdRng,
+        replays: u32,
+        dominant: Reaction,
+        skew: u32,
+    ) -> (usize, ProbeKind, usize, Reaction) {
+        let server = rng.gen_range(0..2usize);
+        let kind = if rng.gen_range(0..100u32) < replays {
+            KINDS[rng.gen_range(0..5usize)]
+        } else {
+            KINDS[rng.gen_range(5..7usize)]
+        };
+        let len = match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(17..=23usize),
+            1 => 50,
+            2 => rng.gen_range(51..=600usize),
+            _ => rng.gen_range(0..64usize),
+        };
+        let reaction = if rng.gen_range(0..100u32) < skew {
+            dominant
+        } else {
+            REACTIONS[rng.gen_range(0..REACTIONS.len())]
+        };
+        (server, kind, len, reaction)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// After every `record`, the running counts give the same
+        /// verdict as rescanning the full record list, for every server.
+        #[test]
+        fn counts_match_record_scan(
+            seed in any::<u64>(),
+            n in 0usize..80,
+            replays in 0u32..=40,
+            dominant in 0usize..REACTIONS.len(),
+            skew in 0u32..=100,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let servers = [(Ipv4::new(172, 0, 0, 9), 8388), (Ipv4::new(172, 0, 0, 10), 8388)];
+            let mut c = Classifier::new();
+            let mut recs: [Vec<(ProbeKind, usize, Reaction)>; 2] = Default::default();
+            for _ in 0..n {
+                let (i, kind, len, reaction) =
+                    random_record(&mut rng, replays, REACTIONS[dominant], skew);
+                c.record(servers[i], kind, len, reaction);
+                recs[i].push((kind, len, reaction));
+                for (server, recs) in servers.iter().zip(&recs) {
+                    prop_assert_eq!(c.observations(*server), recs.len());
+                    prop_assert_eq!(c.verdict(*server), scan_verdict(recs), "records {:?}", recs);
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use netsim::conn::ConnId;
 use netsim::packet::{Ipv4, Packet, SocketAddr};
 use netsim::sim::Simulator;
 use netsim::tap::{Tap, TapCtx, Verdict as TapVerdict};
-use netsim::time::Duration;
+use netsim::time::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -130,6 +130,12 @@ pub struct GfwState {
     /// Stored-payload counts keyed by destination endpoint, for
     /// breaking down the false-positive surface by background protocol.
     stored_by_server: HashMap<SocketAddr, u64>,
+    /// Due time of the one live order wake-up, if any. Same guard as
+    /// `Simulator::next_open_at`: a wake-up is queued only when none is
+    /// armed or the new due time overtakes the armed one. Arming on
+    /// every stored payload and resolved probe without it piles up
+    /// duplicate `TOKEN_ORDERS` timers that all fire at each due time.
+    orders_armed: Option<SimTime>,
     rng: StdRng,
     controller: AppId,
 }
@@ -166,6 +172,7 @@ impl Gfw {
             verdicts: VerdictCounters::default(),
             truth: HashSet::new(),
             stored_by_server: HashMap::new(),
+            orders_armed: None,
             rng: StdRng::seed_from_u64(seed),
             controller: AppId(u32::MAX),
         }));
@@ -245,7 +252,7 @@ impl Tap for GfwTap {
                 *count = count.wrapping_add(1);
                 let GfwState { scheduler, rng, .. } = &mut *st;
                 scheduler.on_stored_payload(ctx.now, server, &pkt.payload, rng);
-                if let Some(due) = st.scheduler.next_due() {
+                if let Some(due) = st.arm_orders() {
                     ctx.wake_app(st.controller, due, TOKEN_ORDERS);
                 }
             }
@@ -273,6 +280,9 @@ impl GfwController {
     fn launch_due(&mut self, ctx: &mut Ctx) {
         let orders = {
             let mut st = self.state.borrow_mut();
+            if st.orders_armed.is_some_and(|at| at <= ctx.now) {
+                st.orders_armed = None;
+            }
             st.scheduler.pop_due(ctx.now)
         };
         for order in orders {
@@ -312,7 +322,7 @@ impl GfwController {
             );
         }
         // Re-arm for the next order.
-        let next = self.state.borrow_mut().scheduler.next_due();
+        let next = self.state.borrow_mut().arm_orders();
         if let Some(due) = next {
             ctx.set_timer(due.since(ctx.now), TOKEN_ORDERS);
         }
@@ -377,7 +387,7 @@ impl GfwController {
         }
         drop(st);
         // Wake ourselves in case stage-2 unlock queued new orders.
-        let next = self.state.borrow_mut().scheduler.next_due();
+        let next = self.state.borrow_mut().arm_orders();
         if let Some(due) = next {
             ctx.set_timer(due.since(ctx.now), TOKEN_ORDERS);
         }
@@ -439,6 +449,20 @@ pub fn probe_summary(state: &GfwState) -> HashMap<crate::probe::ProbeKind, usize
 }
 
 impl GfwState {
+    /// The due time to queue an order wake-up for, if one is needed:
+    /// the scheduler's next due time when no wake-up is armed or when
+    /// it is earlier than the armed one. Records the time it returns.
+    /// A later wake-up that an earlier one overtook stays queued and
+    /// fires as a no-op (it pops no orders and draws no randomness).
+    fn arm_orders(&mut self) -> Option<SimTime> {
+        let due = self.scheduler.next_due()?;
+        if self.orders_armed.is_some_and(|at| at <= due) {
+            return None;
+        }
+        self.orders_armed = Some(due);
+        Some(due)
+    }
+
     /// Immutable access to the probe log.
     pub fn probes(&self) -> &[ProbeRecord] {
         &self.probe_log

@@ -117,11 +117,11 @@ impl Scheduler {
     /// Pop all orders due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Vec<Order> {
         let mut out = Vec::new();
-        while let Some(due) = self.queue.next_time() {
-            if due > now {
+        while self.queue.next_time().is_some_and(|due| due <= now) {
+            let Some((_, order)) = self.queue.pop() else {
                 break;
-            }
-            out.push(self.queue.pop().unwrap().1);
+            };
+            out.push(order);
         }
         out
     }

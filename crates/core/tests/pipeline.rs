@@ -325,6 +325,32 @@ fn tap_state_drains_when_connections_close() {
 }
 
 #[test]
+fn probe_pipeline_events_stay_linear_in_packets() {
+    // Regression: the controller's order wake-up used to be re-armed on
+    // every stored payload and every resolved probe without replacing
+    // the old one, so duplicate timers piled up and each due time fired
+    // all of them — events grew with the square of the run's length
+    // (about 5.9 per packet here). With one armed wake-up the probe
+    // pipeline costs a bounded number of events per packet.
+    let mut setup = build(Profile::LIBEV_OLD, Method::Aes256Cfb, 0.0, 17);
+    drive_connections(&mut setup, 2_000, Duration::from_secs(5));
+    setup.sim.run();
+
+    let st = setup.handle.state.borrow();
+    assert!(
+        !st.probes().is_empty(),
+        "run produced no probes, test is vacuous"
+    );
+    let stats = &setup.sim.stats;
+    assert!(
+        stats.events < 2 * stats.packets_sent,
+        "{} events for {} packets sent",
+        stats.events,
+        stats.packets_sent
+    );
+}
+
+#[test]
 fn plaintext_traffic_is_not_probed() {
     // HTTP through the same path draws no probes (protocol exemption).
     let mut setup = build(Profile::LIBEV_OLD, Method::Aes256Cfb, 0.0, 15);

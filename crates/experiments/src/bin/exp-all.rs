@@ -55,6 +55,7 @@ fn main() {
             "demoted",
             "fluid bytes",
             "peak queue",
+            "ev/pkt",
             "wall ms",
             "events/s",
             "rss kb",
@@ -79,6 +80,7 @@ fn main() {
                 s.flows_demoted.to_string(),
                 s.fluid_bytes_modeled.to_string(),
                 s.peak_queue_depth.to_string(),
+                events_per_packet(s),
                 format!("{:.1}", r.wall.as_secs_f64() * 1e3),
                 format!("{:.0}", events_per_sec(s.events, r.wall)),
                 r.peak_rss_kb.to_string(),
@@ -96,6 +98,7 @@ fn main() {
             total.flows_demoted.to_string(),
             total.fluid_bytes_modeled.to_string(),
             total.peak_queue_depth.to_string(),
+            events_per_packet(&total),
             format!("{:.1}", total_wall.as_secs_f64() * 1e3),
             format!("{:.0}", events_per_sec(total.events, total_wall)),
             peak_rss.to_string(),
@@ -119,6 +122,15 @@ fn events_per_sec(events: u64, wall: std::time::Duration) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Events per packet sent, 2 decimals; `-` when no packet was sent. A
+/// timer storm shows up here long before it shows up in wall time.
+fn events_per_packet(s: &netsim::sim::SimStats) -> String {
+    if s.packets_sent == 0 {
+        return "-".to_string();
+    }
+    format!("{:.2}", s.events as f64 / s.packets_sent as f64)
 }
 
 /// Resolve `--only a,b,c` against the registry, keeping registry order.
@@ -170,6 +182,15 @@ mod tests {
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn events_per_packet_has_two_decimals_and_a_dash_for_no_packets() {
+        let mut s = netsim::sim::SimStats::default();
+        assert_eq!(events_per_packet(&s), "-");
+        s.events = 10;
+        s.packets_sent = 7;
+        assert_eq!(events_per_packet(&s), "1.43");
     }
 
     #[test]
