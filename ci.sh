@@ -85,6 +85,13 @@ GFWSIM_NO_HWCRYPTO=1 cargo test -q -p sscrypto -p analysis
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> gfwsim-bench test suite"
+# The benchmark is a separate workspace that builds these crates from
+# source, so a public-API change that breaks its build, its
+# scenario-equivalence checks or its golden renders fails here rather
+# than in a later benchmark run. Writes only gfwsim-bench/target/.
+cargo test --offline --release -q --manifest-path gfwsim-bench/Cargo.toml
+
 echo "==> release tests with overflow checks (hot-path crates)"
 # Release builds wrap integer arithmetic silently; this gate reruns the
 # hot-path suites in release mode with overflow checks forced on, so

@@ -13,7 +13,7 @@ struct Echo;
 impl App for Echo {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         if let AppEvent::Data { conn, data } = ev {
-            ctx.send(conn, data);
+            ctx.send(conn, data.to_vec());
             ctx.fin(conn);
         }
     }

@@ -97,7 +97,7 @@ fn build(profile: Profile, method: Method, sensitivity: f64, seed: u64) -> Setup
     impl App for Web {
         fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
             if let AppEvent::Data { conn, data } = ev {
-                ctx.send(conn, data);
+                ctx.send(conn, data.to_vec());
             }
         }
     }

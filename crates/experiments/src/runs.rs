@@ -170,7 +170,7 @@ struct EchoWeb;
 impl App for EchoWeb {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         if let AppEvent::Data { conn, data } = ev {
-            ctx.send(conn, data);
+            ctx.send(conn, data.to_vec());
         }
     }
 }

@@ -9,6 +9,7 @@ use crate::conn::{ConnId, TcpTuning};
 use crate::packet::{Ipv4, SocketAddr};
 use crate::sim::SimStats;
 use crate::time::{Duration, SimTime};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 
 /// Opaque application identifier.
@@ -43,8 +44,10 @@ pub enum AppEvent {
     Data {
         /// Connection.
         conn: ConnId,
-        /// Segment payload.
-        data: Vec<u8>,
+        /// Segment payload: the delivered packet's own buffer, shared
+        /// rather than copied. Read it as a `&[u8]` through `Deref`;
+        /// `to_vec()` when an owned copy is needed (e.g. to echo it).
+        data: Bytes,
     },
     /// Peer sent FIN.
     PeerFin {

@@ -402,16 +402,35 @@ impl FluidState {
 /// (prefix) and a demotion flush (suffix at its true offset) all emit
 /// the identical byte stream. High-entropy by construction — bulk
 /// payloads should look like ciphertext, not zeros.
+///
+/// Byte `pos` is byte `pos & 7` (little-endian) of the 8-byte block
+/// word for `pos >> 3`, so the buffer is written a whole block at a
+/// time: the leading partial block, then aligned 8-byte chunks, then
+/// the trailing partial block. Positions wrap at `u64::MAX`; because
+/// 2^64 is a multiple of 8, a wrapping position stays block-aligned.
 pub fn fill_bulk(buf: &mut [u8], conn: ConnId, offset: u64) {
-    let mut block = u64::MAX;
-    let mut word = 0u64;
-    for (i, b) in buf.iter_mut().enumerate() {
-        let pos = offset.wrapping_add(i as u64);
-        if pos >> 3 != block {
-            block = pos >> 3;
-            word = mix(conn.0 ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        *b = (word >> ((pos & 7) << 3)) as u8;
+    let word =
+        |pos: u64| mix(conn.0 ^ (pos >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes();
+    let skip = (offset & 7) as usize;
+    let lead = if skip == 0 {
+        0
+    } else {
+        (8 - skip).min(buf.len())
+    };
+    let (head, rest) = buf.split_at_mut(lead);
+    if lead > 0 {
+        head.copy_from_slice(&word(offset)[skip..skip + lead]);
+    }
+    let mut pos = offset.wrapping_add(lead as u64);
+    let mut chunks = rest.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        chunk.copy_from_slice(&word(pos));
+        pos = pos.wrapping_add(8);
+    }
+    let tail = chunks.into_remainder();
+    let n = tail.len();
+    if n > 0 {
+        tail.copy_from_slice(&word(pos)[..n]);
     }
 }
 
@@ -632,6 +651,45 @@ mod tests {
         let mut other = vec![0u8; 4096];
         fill_bulk(&mut other, ConnId(8), 0);
         assert_ne!(whole, other);
+    }
+
+    /// The byte-at-a-time definition `fill_bulk` must reproduce: byte
+    /// `pos` is byte `pos & 7` of the block word for `pos >> 3`.
+    fn fill_bulk_bytewise(buf: &mut [u8], conn: ConnId, offset: u64) {
+        let mut block = u64::MAX;
+        let mut word = 0u64;
+        for (i, b) in buf.iter_mut().enumerate() {
+            let pos = offset.wrapping_add(i as u64);
+            if pos >> 3 != block {
+                block = pos >> 3;
+                word = mix(conn.0 ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            }
+            *b = (word >> ((pos & 7) << 3)) as u8;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The word-wise fill equals the byte-wise definition at every
+        /// block alignment, across the `u64` offset wrap, and for every
+        /// length from empty to three full segments plus a tail.
+        #[test]
+        fn fill_bulk_matches_bytewise(
+            conn in proptest::prelude::any::<u64>(),
+            offset in proptest::prop_oneof![0u64..16, (u64::MAX - 4400)..=u64::MAX],
+            len in 0usize..=3 * 1448 + 17,
+        ) {
+            let mut fast = vec![0xAAu8; len];
+            let mut slow = vec![0x55u8; len];
+            fill_bulk(&mut fast, ConnId(conn), offset);
+            fill_bulk_bytewise(&mut slow, ConnId(conn), offset);
+            let diff = fast.iter().zip(&slow).position(|(a, b)| a != b);
+            proptest::prop_assert!(
+                diff.is_none(),
+                "conn {conn} offset {offset} len {len}: first difference at byte {diff:?}"
+            );
+        }
     }
 
     #[test]

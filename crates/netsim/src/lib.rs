@@ -46,7 +46,9 @@
 //! impl App for Echo {
 //!     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
 //!         if let AppEvent::Data { conn, data } = ev {
-//!             ctx.send(conn, data); // echo back
+//!             // `data` shares the delivered packet's buffer; echoing it
+//!             // back needs an owned copy.
+//!             ctx.send(conn, data.to_vec());
 //!         }
 //!     }
 //! }
@@ -57,7 +59,7 @@
 //!         match ev {
 //!             AppEvent::Connected { conn } => ctx.send(conn, b"ping".to_vec()),
 //!             AppEvent::Data { conn, data } => {
-//!                 assert_eq!(data, b"ping");
+//!                 assert_eq!(&data[..], b"ping");
 //!                 ctx.fin(conn);
 //!             }
 //!             _ => {}

@@ -218,6 +218,17 @@ pub struct Simulator {
     next_open_at: Option<SimTime>,
     fluid: FluidState,
     rng: StdRng,
+    /// Scratch command buffer for [`Simulator::dispatch`], reused
+    /// across callbacks. A dispatch takes it and puts it back drained;
+    /// a nested dispatch meanwhile finds it empty and uses its own.
+    commands: Vec<(AppId, Command)>,
+    /// Scratch buffer for [`Simulator::handle_fluid_advance`]'s
+    /// completions (same take/put-back discipline).
+    completions: Vec<Completion>,
+    /// Scratch buffer for the synthesized bulk bytes that
+    /// [`Simulator::send_bulk`] hands to [`Simulator::do_send`] (same
+    /// discipline).
+    bulk: Vec<u8>,
     /// Aggregate counters.
     pub stats: SimStats,
 }
@@ -241,6 +252,9 @@ impl Simulator {
             next_open_at: None,
             fluid: FluidState::new(config.bandwidth),
             rng: StdRng::seed_from_u64(seed),
+            commands: Vec::new(),
+            completions: Vec::new(),
+            bulk: Vec::new(),
             stats: SimStats::default(),
         }
     }
@@ -699,7 +713,7 @@ impl Simulator {
             return;
         };
         let Some(mut a) = slot.take() else { return };
-        let mut commands: Vec<(AppId, Command)> = Vec::new();
+        let mut commands = std::mem::take(&mut self.commands);
         {
             let mut ctx = Ctx {
                 now: self.now,
@@ -712,14 +726,15 @@ impl Simulator {
             a.on_event(ev, &mut ctx);
         }
         self.apps[idx] = Some(a);
-        for (owner, cmd) in commands {
+        for (owner, cmd) in commands.drain(..) {
             self.apply(owner, cmd);
         }
+        self.commands = commands;
     }
 
     fn apply(&mut self, owner: AppId, cmd: Command) {
         match cmd {
-            Command::Send(conn, data) => self.do_send(owner, conn, data),
+            Command::Send(conn, data) => self.do_send(owner, conn, &data),
             Command::Fin(conn) => self.do_fin(owner, conn),
             Command::Rst(conn) => self.do_rst(owner, conn),
             Command::Connect {
@@ -743,7 +758,7 @@ impl Simulator {
         c.server_app == Some(owner)
     }
 
-    fn do_send(&mut self, owner: AppId, conn: ConnId, data: Vec<u8>) {
+    fn do_send(&mut self, owner: AppId, conn: ConnId, data: &[u8]) {
         if self.conns.get(conn).is_some_and(|c| c.fluid) {
             // A packet-fidelity send while the tail of an earlier
             // transfer is still fluid: demote first so the wire stream
@@ -950,9 +965,7 @@ impl Simulator {
         } else {
             (total, 0)
         };
-        let mut head = vec![0u8; phase as usize];
-        flow::fill_bulk(&mut head, conn, 0);
-        self.do_send(owner, conn, head);
+        self.send_bulk(owner, conn, 0, phase);
         if tail == 0 {
             // The whole transfer went out at packet fidelity; from the
             // sender's perspective it is complete once it is on the
@@ -968,6 +981,17 @@ impl Simulator {
             .fluid
             .promote(self.now, conn, link, tail, total, from_server, owner);
         self.apply_resched(resched);
+    }
+
+    /// Send `len` bytes of `conn`'s bulk stream, starting at stream
+    /// offset `offset`, at packet fidelity.
+    fn send_bulk(&mut self, owner: AppId, conn: ConnId, offset: u64, len: u64) {
+        let mut buf = std::mem::take(&mut self.bulk);
+        // Every byte is overwritten below; `resize` only zeroes growth.
+        buf.resize(len as usize, 0);
+        flow::fill_bulk(&mut buf, conn, offset);
+        self.do_send(owner, conn, &buf);
+        self.bulk = buf;
     }
 
     /// Schedule the (epoch-guarded) next fluid completion check.
@@ -1011,9 +1035,7 @@ impl Simulator {
         self.credit_fluid_delivery(conn, s.from_server, s.delivered);
         self.apply_resched(resched);
         if s.remaining > 0 {
-            let mut tail = vec![0u8; s.remaining as usize];
-            flow::fill_bulk(&mut tail, conn, s.total - s.remaining);
-            self.do_send(s.sender, conn, tail);
+            self.send_bulk(s.sender, conn, s.total - s.remaining, s.remaining);
         }
         self.dispatch(
             s.sender,
@@ -1046,10 +1068,10 @@ impl Simulator {
     /// A [`Event::FluidAdvance`] fired: collect ripe completions and
     /// deliver them.
     fn handle_fluid_advance(&mut self, link: LinkId, epoch: u64) {
-        let mut done: Vec<Completion> = Vec::new();
+        let mut done = std::mem::take(&mut self.completions);
         let resched = self.fluid.on_advance(self.now, link, epoch, &mut done);
         self.apply_resched(resched);
-        for comp in done {
+        for comp in done.drain(..) {
             if let Some(c) = self.conns.get_mut(comp.conn) {
                 c.fluid = false;
             }
@@ -1063,6 +1085,7 @@ impl Simulator {
                 },
             );
         }
+        self.completions = done;
     }
 
     fn open_connection(
@@ -1336,7 +1359,7 @@ impl Simulator {
                     app,
                     AppEvent::Data {
                         conn,
-                        data: pkt.payload.to_vec(),
+                        data: pkt.payload,
                     },
                 );
             }

@@ -6,7 +6,10 @@
 //!    the sink receives on the wire plus the bytes the fluid model
 //!    carried equal the bytes the pure packet engine delivers (which in
 //!    turn equal the requested totals). Transfers below the promotion
-//!    threshold, promoted transfers, and mixtures all conserve.
+//!    threshold, promoted transfers, and mixtures all conserve. Content
+//!    is pinned too: every data segment carries the bulk stream's bytes
+//!    (`fill_bulk`) at its true stream offset, under both engines and
+//!    across a demotion flush.
 //! 2. **Promotion/demotion idempotence** — forcing mid-transfer
 //!    demotions (a packet-fidelity send while the tail is fluid) never
 //!    loses or duplicates bytes, and every transfer still completes
@@ -18,14 +21,15 @@
 //!    order.
 
 use netsim::app::{App, AppEvent, Ctx};
+use netsim::capture::Capture;
 use netsim::conn::{ConnId, TcpTuning};
-use netsim::flow::{Completion, FluidState, LinkBandwidth, LinkId};
+use netsim::flow::{fill_bulk, Completion, FluidState, LinkBandwidth, LinkId};
 use netsim::host::HostConfig;
 use netsim::time::{Duration, SimTime};
 use netsim::{EngineMode, SimConfig, Simulator};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------
@@ -80,16 +84,31 @@ impl App for ScriptedBulk {
 }
 
 /// Sink counting every wire byte that reaches the server app, closing
-/// its half when the peer closes.
+/// its half when the peer closes. With `check_content` set (runs whose
+/// streams arrive gap-free from offset 0: no demotion, no poke), every
+/// segment must also equal the bulk stream's bytes at the connection's
+/// running offset.
 struct CountingSink {
     bytes: Rc<Cell<u64>>,
+    check_content: bool,
+    offsets: HashMap<ConnId, u64>,
 }
 
 impl App for CountingSink {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         match ev {
-            AppEvent::Data { data, .. } => {
+            AppEvent::Data { conn, data } => {
                 self.bytes.set(self.bytes.get() + data.len() as u64);
+                if self.check_content {
+                    let offset = self.offsets.entry(conn).or_insert(0);
+                    let mut want = vec![0u8; data.len()];
+                    fill_bulk(&mut want, conn, *offset);
+                    assert!(
+                        data[..] == want[..],
+                        "{conn:?}: segment at offset {offset} is not the bulk stream"
+                    );
+                    *offset += data.len() as u64;
+                }
             }
             AppEvent::PeerFin { conn } => ctx.fin(conn),
             _ => {}
@@ -116,7 +135,10 @@ fn run_world(engine: EngineMode, sizes: &[u64], poke: bool, seed: u64) -> WorldO
     let sink_bytes = Rc::new(Cell::new(0u64));
     let sink = sim.add_app(Box::new(CountingSink {
         bytes: Rc::clone(&sink_bytes),
+        check_content: !poke,
+        offsets: HashMap::new(),
     }));
+    let cap = sim.add_capture(Capture::with_filter(move |p| p.dst.0 == server));
     sim.listen((server, 443), sink);
     let script = Rc::new(RefCell::new(sizes.iter().copied().collect::<VecDeque<_>>()));
     let pokes_sent = Rc::new(Cell::new(0u64));
@@ -139,6 +161,7 @@ fn run_world(engine: EngineMode, sizes: &[u64], poke: bool, seed: u64) -> WorldO
         );
     }
     sim.run();
+    check_wire_content(sim.capture(cap), sizes);
     WorldOutcome {
         sink_bytes: sink_bytes.get(),
         delivered: delivered.get(),
@@ -146,6 +169,52 @@ fn run_world(engine: EngineMode, sizes: &[u64], poke: bool, seed: u64) -> WorldO
         pokes: pokes_sent.get(),
         stats: sim.stats,
     }
+}
+
+/// Every client→server data segment on the wire carries the bulk
+/// stream's bytes at its true stream offset, read off its sequence
+/// number (`seq − ISN − 1`). A demotion flush resumes past the bytes
+/// the fluid model carried, with its sequence numbers advanced by the
+/// same amount, so this pins the flushed suffix too. A poke is the one
+/// byte sent after the transfer, at offset `total`, and is skipped.
+fn check_wire_content(cap: &Capture, sizes: &[u64]) {
+    let mut isn: HashMap<ConnId, u32> = HashMap::new();
+    let mut checked = 0usize;
+    for p in cap.packets() {
+        if p.flags.syn {
+            isn.insert(p.conn, p.seq);
+            continue;
+        }
+        if p.payload.is_empty() {
+            continue;
+        }
+        // Connections are numbered in `connect_at` order, which is
+        // also the order their sizes are popped off the script.
+        let total = sizes[p.conn.0 as usize];
+        let start = isn[&p.conn].wrapping_add(1);
+        let offset = u64::from(p.seq.wrapping_sub(start));
+        if offset == total {
+            assert_eq!(p.payload.len(), 1, "{:?}: poke is one byte", p.conn);
+            continue;
+        }
+        assert!(
+            offset + p.payload.len() as u64 <= total,
+            "{:?}: overrun",
+            p.conn
+        );
+        let mut want = vec![0u8; p.payload.len()];
+        fill_bulk(&mut want, p.conn, offset);
+        assert!(
+            p.payload[..] == want[..],
+            "{:?}: wire segment at offset {offset} is not the bulk stream",
+            p.conn
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= sizes.len(),
+        "every transfer puts data on the wire"
+    );
 }
 
 /// Transfer sizes spanning every regime: tiny (single segment), below
