@@ -20,17 +20,6 @@ echo "==> cargo build --release --workspace"
 # dependency bins in.
 cargo build --release --workspace
 
-echo "==> bench-report --quick smoke"
-# Quick perf smoke: exercises all three workloads and the JSON writer.
-# The committed full-mode BENCH_substrate.json is not overwritten; the
-# quick run lands in target/ and is checked for shape like the real one.
-./target/release/bench-report --quick --out target/BENCH_quick.json > /dev/null
-./target/release/bench-report --check target/BENCH_quick.json
-
-echo "==> bench-report --check BENCH_substrate.json"
-# The tracked perf trajectory must exist and be well-formed.
-./target/release/bench-report --check BENCH_substrate.json
-
 echo "==> exp-scale --quick smoke"
 # Hybrid-engine smoke: 10k bulk flows must all complete in-process.
 ./target/release/exp-scale --quick > /dev/null
@@ -42,32 +31,10 @@ GFWSIM_JOBS=1 ./target/release/exp-scale --quick > target/scale_jobs1.out
 GFWSIM_JOBS=2 ./target/release/exp-scale --quick > target/scale_jobs2.out
 cmp target/scale_jobs1.out target/scale_jobs2.out
 
-echo "==> bench-report --check BENCH_scale.json"
-# The tracked hybrid-vs-packet scale trajectory: well-formed, and the
-# 100k-flow speedup must hold the >= 10x bar.
-./target/release/bench-report --check BENCH_scale.json
-
 echo "==> exp-baserate --quick smoke"
 # Mixed-traffic smoke: one 5k-background mix point against the full
 # GFW under the hybrid engine; every flow must be inspected.
 ./target/release/exp-baserate --quick > /dev/null
-
-echo "==> bench-report --check BENCH_baserate.json"
-# The tracked mixed-traffic trajectory: well-formed, and the 100k-flow
-# speedup must hold the >= 9x bar (0.9x the pure-bulk scale bar).
-./target/release/bench-report --check BENCH_baserate.json
-
-if [ "${GFWSIM_BENCH_DEBUG_ASSERT:-0}" = "1" ]; then
-    echo "==> bench-report rebuild with debug assertions (GFWSIM_BENCH_DEBUG_ASSERT=1)"
-    # Opt-in paranoia mode: rerun the perf smoke with debug assertions
-    # compiled into the release profile, so invariant checks inside the
-    # hot paths fire under benchmark-shaped load. Separate target dir —
-    # a RUSTFLAGS change would invalidate the main release cache.
-    CARGO_TARGET_DIR=target/dbgassert RUSTFLAGS="-C debug-assertions=on" \
-        cargo build -q --release -p bench
-    ./target/dbgassert/release/bench-report --quick --out target/BENCH_dbgassert.json > /dev/null
-    ./target/dbgassert/release/bench-report --check target/BENCH_dbgassert.json
-fi
 
 echo "==> crypto fast-path differential properties"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the

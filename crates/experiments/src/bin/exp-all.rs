@@ -58,16 +58,13 @@ fn main() {
             "ev/pkt",
             "wall ms",
             "events/s",
-            "rss kb",
         ]);
         let mut total = netsim::sim::SimStats::default();
         let mut total_wall = std::time::Duration::ZERO;
-        let mut peak_rss = 0u64;
         for (e, r) in entries.iter().zip(&runs) {
             let s = &r.stats;
             total.merge(s);
             total_wall += r.wall;
-            peak_rss = peak_rss.max(r.peak_rss_kb);
             t.row(&[
                 e.id.to_string(),
                 s.events.to_string(),
@@ -83,7 +80,6 @@ fn main() {
                 events_per_packet(s),
                 format!("{:.1}", r.wall.as_secs_f64() * 1e3),
                 format!("{:.0}", events_per_sec(s.events, r.wall)),
-                r.peak_rss_kb.to_string(),
             ]);
         }
         t.row(&[
@@ -101,15 +97,14 @@ fn main() {
             events_per_packet(&total),
             format!("{:.1}", total_wall.as_secs_f64() * 1e3),
             format!("{:.0}", events_per_sec(total.events, total_wall)),
-            peak_rss.to_string(),
         ]);
         println!("== runner stats ==\n{}", t.render());
+        println!("peak rss (process): {} kB", runner::peak_rss_kb());
         println!(
             "(wall times are per-job CPU-side measurements; with parallel \
-workers the total exceeds elapsed time. rss kb is the process-wide \
-VmHWM sampled when each job finished — a monotone high-water mark, so \
-per-experiment values reflect everything run up to that point, 0 on \
-platforms without procfs; the total row reports the maximum)"
+workers the total exceeds elapsed time. Peak RSS is the whole process's \
+VmHWM after every job ran, not a per-experiment figure; 0 on platforms \
+without procfs)"
         );
     }
 }

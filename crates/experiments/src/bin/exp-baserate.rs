@@ -10,12 +10,11 @@
 //! * `exp-baserate --quick` — in-process smoke run: one mix point
 //!   under the hybrid engine, printing a one-line summary. Used by
 //!   `ci.sh`.
-//! * `exp-baserate --bench [--out <path>]` — wall-clock bench:
-//!   re-runs the mix in child processes (one per configuration, so
-//!   each peak-RSS reading is isolated) and writes
-//!   `BENCH_baserate.json` with flows/sec and peak RSS for
+//! * `exp-baserate --bench` — wall-clock bench: re-runs the mix in
+//!   child processes (one per configuration, so each peak-RSS reading
+//!   is isolated) and prints wall time, flows/sec and peak RSS for
 //!   100k-flow mixes under both engines plus the 1M-flow mix under
-//!   the hybrid engine.
+//!   the hybrid engine. Nothing is written to disk.
 //! * `exp-baserate --measure <engine> <flows>` — child mode: runs one
 //!   configuration and prints `key=value` lines for the parent.
 
@@ -33,7 +32,7 @@ const BENCH_BASE_RATE: u64 = 1_000;
 struct Config {
     engine: EngineMode,
     flows: usize,
-    /// JSON key stem, e.g. `mix_100k_hybrid`.
+    /// Row label, e.g. `mix_100k_hybrid`.
     stem: &'static str,
 }
 
@@ -121,27 +120,7 @@ fn spawn_child(cfg: &Config) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], speedup_100k: f64) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": 1,\n");
-    s.push_str("  \"bench\": \"baserate\",\n");
-    s.push_str("  \"mode\": \"full\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    for r in rows {
-        s.push_str(&format!(
-            "  \"{}_flows_per_sec\": {:.1},\n",
-            r.stem, r.flows_per_sec
-        ));
-        s.push_str(&format!("  \"{}_rss_kb\": {},\n", r.stem, r.rss_kb));
-        s.push_str(&format!("  \"{}_wall_ms\": {:.1},\n", r.stem, r.wall_ms));
-    }
-    s.push_str(&format!("  \"speedup_mix_100k\": {speedup_100k:.2}\n"));
-    s.push_str("}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("exp-baserate: write {path}: {e}"));
-}
-
-fn run_bench(out_path: &str) {
+fn run_bench() {
     println!("== exp-baserate bench ==  (seed {SEED}, one child process per configuration)\n");
     let mut rows = Vec::with_capacity(CONFIGS.len());
     for cfg in CONFIGS {
@@ -168,9 +147,6 @@ fn run_bench(out_path: &str) {
         .expect("exp-baserate: mix_100k_hybrid row");
     let speedup = hybrid_100k.flows_per_sec / packet_100k.flows_per_sec.max(1e-9);
     println!("\nspeedup at 100k mixed flows: {speedup:.2}x (hybrid over packet)");
-
-    write_json(out_path, &rows, speedup);
-    println!("wrote {out_path}");
 }
 
 fn main() {
@@ -192,12 +168,7 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--bench") {
-        let out_path = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| "BENCH_baserate.json".to_string());
-        run_bench(&out_path);
+        run_bench();
         return;
     }
 

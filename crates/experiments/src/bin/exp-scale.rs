@@ -4,10 +4,10 @@
 //!
 //! * `exp-scale` — full bench: re-runs the bulk workload in child
 //!   processes (one per engine × flow-count configuration, so each
-//!   peak-RSS reading is isolated) and writes `BENCH_scale.json` with
-//!   flows/sec and peak RSS at 10k/100k flows for both engines plus
-//!   1M flows for the hybrid engine, as one simulator and as 8
-//!   independent cells run as runner jobs.
+//!   peak-RSS reading is isolated) and prints wall time, flows/sec
+//!   and peak RSS at 10k/100k flows for both engines plus 1M flows
+//!   for the hybrid engine, as one simulator and as 8 independent
+//!   cells run as runner jobs. Nothing is written to disk.
 //! * `exp-scale --quick [--flows N]` — in-process smoke run: N flows
 //!   (default 10k) split over 4 cells, honouring `GFWSIM_ENGINE` and
 //!   `--jobs`/`GFWSIM_JOBS`. Seed-pure counters go to stdout —
@@ -36,7 +36,7 @@ struct Config {
     flows: usize,
     /// Independent cells, one runner job each (1 = one simulator).
     cells: usize,
-    /// JSON key stem, e.g. `hybrid_100k`.
+    /// Row label, e.g. `hybrid_100k`.
     stem: &'static str,
 }
 
@@ -149,31 +149,6 @@ fn spawn_child(cfg: &Config) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], speedup_100k: f64) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": 1,\n");
-    s.push_str("  \"bench\": \"scale\",\n");
-    s.push_str("  \"mode\": \"full\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!(
-        "  \"parallelism\": {},\n",
-        runner::default_parallelism()
-    ));
-    s.push_str(&format!("  \"jobs\": {},\n", runner::effective_jobs()));
-    for r in rows {
-        s.push_str(&format!(
-            "  \"{}_flows_per_sec\": {:.1},\n",
-            r.stem, r.flows_per_sec
-        ));
-        s.push_str(&format!("  \"{}_rss_kb\": {},\n", r.stem, r.rss_kb));
-        s.push_str(&format!("  \"{}_wall_ms\": {:.1},\n", r.stem, r.wall_ms));
-    }
-    s.push_str(&format!("  \"speedup_flows_100k\": {speedup_100k:.2}\n"));
-    s.push_str("}\n");
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("exp-scale: write {path}: {e}"));
-}
-
 fn main() {
     runner::configure_from_env();
     let args: Vec<String> = std::env::args().collect();
@@ -234,12 +209,6 @@ fn main() {
         return;
     }
 
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
-
     println!("== exp-scale ==  (seed {SEED}, one child process per configuration)\n");
     let mut rows = Vec::with_capacity(CONFIGS.len());
     for cfg in CONFIGS {
@@ -264,7 +233,4 @@ fn main() {
     };
     let speedup = fps_of("hybrid_100k") / fps_of("packet_100k").max(1e-9);
     println!("\nspeedup at 100k flows: {speedup:.2}x (hybrid over packet)");
-
-    write_json(&out_path, &rows, speedup);
-    println!("wrote {out_path}");
 }

@@ -16,8 +16,9 @@
 //! [64 KiB, 448 KiB], China clients pushing to an outside sink — under
 //! both engines and reports the deterministic counters side by side.
 //! Wall-clock and memory numbers (which are machine-facts, not
-//! sim-facts) live in `BENCH_scale.json`, produced by the `exp-scale`
-//! binary; this module's rendering stays byte-reproducible.
+//! sim-facts) come from the `exp-scale` binary, which times each
+//! configuration in its own process; this module's rendering stays
+//! byte-reproducible.
 
 use crate::report::Table;
 use crate::Scale;
@@ -191,8 +192,9 @@ impl std::fmt::Display for ScaleResult {
         writeln!(
             f,
             "\nevent reduction: {ratio}x fewer events under the hybrid engine\n\
-             (wall-clock and peak-RSS measurements live in BENCH_scale.json, \
-             written by exp-scale; this output holds only seed-pure counters)"
+             (wall-clock and peak-RSS measurements come from exp-scale, \
+             which times each configuration in its own process; this output \
+             holds only seed-pure counters)"
         )
     }
 }

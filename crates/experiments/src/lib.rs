@@ -26,8 +26,7 @@
 //!
 //! Every module exposes `run(scale, seed) -> …Result` where the result
 //! implements `Display` (printing the paper-vs-measured comparison) and
-//! carries assertable fields used by both the crate tests and the
-//! Criterion benches in `crates/bench`.
+//! carries assertable fields used by the crate tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

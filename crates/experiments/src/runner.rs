@@ -119,11 +119,6 @@ pub struct JobRun<R> {
     /// Wall-clock time the job spent running (measurement only — never
     /// feeds back into any simulation, which stays seed-pure).
     pub wall: std::time::Duration,
-    /// Process peak RSS (kB) sampled when the job finished; 0 where the
-    /// platform offers no cheap readout. VmHWM is a process-global
-    /// high-water mark, so with parallel workers the value reflects the
-    /// whole process at that moment, not this job alone.
-    pub peak_rss_kb: u64,
 }
 
 /// Process peak resident set size in kB, from `VmHWM` in
@@ -206,7 +201,6 @@ pub fn run_jobs_detailed_with<J: Job>(specs: Vec<J>, workers: usize) -> Vec<JobR
                     output,
                     stats,
                     wall: started.elapsed(),
-                    peak_rss_kb: peak_rss_kb(),
                 }
             })
             .collect();
@@ -232,7 +226,6 @@ pub fn run_jobs_detailed_with<J: Job>(specs: Vec<J>, workers: usize) -> Vec<JobR
                         output,
                         stats,
                         wall: started.elapsed(),
-                        peak_rss_kb: peak_rss_kb(),
                     });
                 }
             });

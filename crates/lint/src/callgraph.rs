@@ -37,9 +37,8 @@ use crate::{AllowUse, Finding, Report, Workspace};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Crates in the R1 graph: the sim crates plus everything they can
-/// reach. `experiments` and `bench` are excluded on purpose — they
-/// legitimately measure wall-clock time, and nothing in a sim calls
-/// back into them.
+/// reach. `experiments` is excluded on purpose — it legitimately
+/// measures wall-clock time, and nothing in a sim calls back into it.
 pub const R1_CRATES: &[&str] = &[
     "core",
     "netsim",

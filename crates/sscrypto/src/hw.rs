@@ -6,18 +6,16 @@
 //! Which one a cipher uses is decided **once per cipher instantiation**
 //! by snapshotting [`CpuFeatures::get`] — never inside a per-block loop.
 //!
-//! Two override knobs force the scalar path:
-//!
-//! * the `GFWSIM_NO_HWCRYPTO=1` environment variable, read once per
-//!   process (differential testing and determinism audits), and
-//! * [`set_force_scalar`], a process-global toggle for harnesses such as
-//!   `bench-report` that need to measure both paths in a single run.
+//! One override knob forces the scalar path for the whole process: the
+//! `GFWSIM_NO_HWCRYPTO=1` environment variable, read once per process
+//! (differential testing and determinism audits). A single cipher can
+//! be pinned to the scalar path by building it `with_features` from
+//! [`CpuFeatures::none`].
 //!
 //! Both paths are byte-identical by construction; the proptests in
-//! `crypto_props` pin that equivalence, so neither knob ever changes any
+//! `crypto_props` pin that equivalence, so the knob never changes any
 //! experiment output.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The CPU features the fast paths care about, snapshotted at cipher
@@ -71,12 +69,9 @@ impl CpuFeatures {
     }
 
     /// The dispatch snapshot: cached detection result honouring the
-    /// `GFWSIM_NO_HWCRYPTO` env override, masked by [`set_force_scalar`].
+    /// `GFWSIM_NO_HWCRYPTO` env override.
     pub fn get() -> Self {
         static DETECTED: OnceLock<CpuFeatures> = OnceLock::new();
-        if force_scalar() {
-            return CpuFeatures::none();
-        }
         *DETECTED.get_or_init(|| CpuFeatures::detect_with(env_disabled()))
     }
 
@@ -95,20 +90,6 @@ pub fn env_disabled() -> bool {
     })
 }
 
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Programmatic equivalent of `GFWSIM_NO_HWCRYPTO=1`: while set, every
-/// newly constructed cipher takes the scalar path. Ciphers built before
-/// the toggle keep their snapshot — dispatch is per instantiation.
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// Current state of the [`set_force_scalar`] toggle.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,14 +98,6 @@ mod tests {
     fn disabled_detect_reports_nothing() {
         assert_eq!(CpuFeatures::detect_with(true), CpuFeatures::none());
         assert!(!CpuFeatures::none().any());
-    }
-
-    #[test]
-    fn force_scalar_masks_get() {
-        set_force_scalar(true);
-        assert_eq!(CpuFeatures::get(), CpuFeatures::none());
-        set_force_scalar(false);
-        assert_eq!(CpuFeatures::get(), CpuFeatures::detect_with(env_disabled()));
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -28,7 +28,9 @@
 //! `std::arch` fast paths (AES-NI, PCLMULQDQ, SSSE3/AVX2) selected once
 //! per cipher instantiation from a cached [`hw::CpuFeatures`] probe.
 //! The scalar implementations stay compiled as the differential oracle;
-//! `GFWSIM_NO_HWCRYPTO=1` (or [`hw::set_force_scalar`]) forces them.
+//! `GFWSIM_NO_HWCRYPTO=1` forces them for the whole process, and a
+//! cipher built `with_features` from [`hw::CpuFeatures::none`] uses them
+//! alone.
 //! Both paths are byte-identical, pinned by the `crypto_props` suite.
 //!
 //! ## Non-goals

@@ -167,9 +167,9 @@ use sscrypto::gcm::ghash_oracle;
 use sscrypto::hw::CpuFeatures;
 
 /// The feature snapshot the differential properties test against: raw
-/// detection, ignoring `GFWSIM_NO_HWCRYPTO` and the force-scalar switch
-/// so the suite still exercises the hardware paths when it is itself run
-/// under the forced-scalar CI leg.
+/// detection, ignoring `GFWSIM_NO_HWCRYPTO` so the suite still
+/// exercises the hardware paths when it is itself run under the
+/// forced-scalar CI leg.
 fn detected() -> CpuFeatures {
     CpuFeatures::detect_with(false)
 }
@@ -318,20 +318,4 @@ proptest! {
             .apply(&mut rt);
         prop_assert_eq!(&rt, &plain, "{}: round-trip differs", m.name());
     }
-}
-
-/// `set_force_scalar` masks the cached snapshot without re-probing, and
-/// releasing it restores hardware dispatch.
-#[test]
-fn force_scalar_switch_controls_dispatch() {
-    sscrypto::hw::set_force_scalar(true);
-    assert!(!CpuFeatures::get().any());
-    assert!(!Aes::with_features(b"0123456789abcdef", CpuFeatures::get()).is_hw());
-    sscrypto::hw::set_force_scalar(false);
-    // With the switch released, `get` reports whatever detection found,
-    // still masked by the env override (CI runs this suite both ways).
-    assert_eq!(
-        CpuFeatures::get().any(),
-        CpuFeatures::detect_with(sscrypto::hw::env_disabled()).any()
-    );
 }
