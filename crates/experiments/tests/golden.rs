@@ -85,3 +85,11 @@ fn exp_fig7_matches_golden() {
 fn exp_baserate_matches_golden() {
     check(env!("CARGO_BIN_EXE_exp-baserate"), "exp-baserate");
 }
+
+/// The whole quick-scale registry in one snapshot: every experiment's
+/// report, in registry order, so no experiment's output can move
+/// without a diff here.
+#[test]
+fn exp_all_matches_golden() {
+    check(env!("CARGO_BIN_EXE_exp-all"), "exp-all");
+}
