@@ -107,11 +107,6 @@ pub const AS_TABLE: &[AsEntry] = &[
     },
 ];
 
-/// Total unique prober IPs in Table 3.
-pub fn paper_total() -> u32 {
-    AS_TABLE.iter().map(|e| e.paper_count).sum()
-}
-
 /// Attribute an address to an AS by /16 prefix.
 pub fn lookup(addr: Ipv4) -> Option<&'static AsEntry> {
     let p = addr.prefix16();
@@ -126,7 +121,8 @@ mod tests {
     fn table3_total_is_12300() {
         // 6262+5188+315+263+104+101+44+17+2+1+1+1+1 = 12300 unique IPs
         // (§3.3: "12,300 unique source IP addresses").
-        assert_eq!(paper_total(), 12_300);
+        let total: u32 = AS_TABLE.iter().map(|e| e.paper_count).sum();
+        assert_eq!(total, 12_300);
     }
 
     #[test]

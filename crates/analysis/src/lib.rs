@@ -16,7 +16,6 @@
 
 pub mod asn;
 pub mod entropy;
-pub mod fingerprint;
 pub mod overlap;
 pub(crate) mod simd;
 pub mod stats;

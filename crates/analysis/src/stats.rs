@@ -37,7 +37,7 @@ impl Cdf {
     }
 
     /// The `q`-quantile (0.0–1.0).
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty CDF");
         let q = q.clamp(0.0, 1.0);
         let idx = ((self.sorted.len() - 1) as f64 * q).round() as usize;
@@ -100,13 +100,6 @@ impl Histogram {
     pub fn sorted(&self) -> Vec<(i64, u64)> {
         let mut v: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_unstable();
-        v
-    }
-
-    /// (value, count) pairs sorted by descending count (ties by value).
-    pub fn by_count(&self) -> Vec<(i64, u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable_by_key(|&(k, c)| (std::cmp::Reverse(c), k));
         v
     }
 }
@@ -172,7 +165,6 @@ mod tests {
         assert_eq!(h.count(99), 0);
         assert_eq!(h.total(), 6);
         assert_eq!(h.sorted(), vec![(8, 3), (12, 1), (221, 2)]);
-        assert_eq!(h.by_count()[0], (8, 3));
     }
 
     #[test]

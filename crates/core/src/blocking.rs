@@ -123,7 +123,7 @@ impl BlockingModule {
     }
 
     /// True if packets *from* `addr` are currently dropped.
-    pub fn is_blocked_addr(&self, now: SimTime, addr: SocketAddr) -> bool {
+    fn is_blocked_addr(&self, now: SimTime, addr: SocketAddr) -> bool {
         self.rules.iter().any(|r| {
             now < r.until
                 && match r.scope {
@@ -137,15 +137,6 @@ impl BlockingModule {
     /// is null-routed, i.e. we match on the packet's *source*.
     pub fn should_drop(&self, now: SimTime, pkt: &Packet) -> bool {
         self.is_blocked_addr(now, pkt.src)
-    }
-
-    /// Currently active rules.
-    pub fn active_rules(&self, now: SimTime) -> Vec<BlockRule> {
-        self.rules
-            .iter()
-            .filter(|r| now < r.until)
-            .copied()
-            .collect()
     }
 
     /// All rules ever installed.
@@ -241,7 +232,6 @@ mod tests {
         assert!(rule.until.since(rule.since) >= Duration::from_hours(24 * 7));
         let after = rule.until + Duration::from_secs(1);
         assert!(!m.is_blocked_addr(after, server()));
-        assert!(m.active_rules(after).is_empty());
         assert_eq!(m.all_rules().len(), 1);
     }
 

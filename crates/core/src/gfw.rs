@@ -14,7 +14,7 @@
 use crate::blocking::{BlockingConfig, BlockingModule};
 use crate::classifier::{Classifier, Verdict};
 use crate::fleet::{Fleet, FleetConfig};
-use crate::passive::{FirstPayloadFeatures, PassiveConfig, PassiveDetector};
+use crate::passive::{PassiveConfig, PassiveDetector};
 use crate::probe::{ProbeRecord, Reaction};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use netsim::app::{App, AppEvent, AppId, Ctx};
@@ -86,10 +86,9 @@ enum ConnTrack {
     /// Created by the GFW itself (probe); never self-triggering.
     Own,
     /// First data packet already inspected; later packets skip straight
-    /// past the detector. Carries the features scored from that packet,
-    /// so the entropy histogram is provably computed at most once per
+    /// past the detector, so the entropy histogram runs at most once per
     /// connection.
-    SeenData(FirstPayloadFeatures),
+    SeenData,
 }
 
 /// Full GFW configuration.
@@ -205,7 +204,7 @@ impl Tap for GfwTap {
         // 2+3. One hash probe resolves both "our own probe?" and
         // "already inspected?"; RST/FIN retires an inspected entry.
         match st.conn_track.get(&pkt.conn) {
-            Some(ConnTrack::Own | ConnTrack::SeenData(_)) => {
+            Some(ConnTrack::Own | ConnTrack::SeenData) => {
                 // ConnIds are never reused, so retiring the entry on
                 // teardown is safe for both variants — and necessary:
                 // leaving probe entries in place retains one map slot
@@ -221,11 +220,10 @@ impl Tap for GfwTap {
             return TapVerdict::Pass;
         }
         // 4. First data-carrying packet of a connection: passive stage.
-        // One `features` call scores length and entropy together; the
-        // result is cached in the track entry.
+        // One `features` call scores length and entropy together.
         if pkt.has_payload() {
             let feats = st.passive.features(&pkt.payload);
-            st.conn_track.insert(pkt.conn, ConnTrack::SeenData(feats));
+            st.conn_track.insert(pkt.conn, ConnTrack::SeenData);
             st.inspected += 1;
             let server = pkt.dst;
             if feats.candidate {
@@ -439,15 +437,6 @@ impl App for GfwController {
     }
 }
 
-/// Convenience for experiments: summarize the probe log.
-pub fn probe_summary(state: &GfwState) -> HashMap<crate::probe::ProbeKind, usize> {
-    let mut counts = HashMap::new();
-    for rec in &state.probe_log {
-        *counts.entry(rec.kind).or_insert(0) += 1;
-    }
-    counts
-}
-
 impl GfwState {
     /// The due time to queue an order wake-up for, if one is needed:
     /// the scheduler's next due time when no wake-up is armed or when
@@ -471,22 +460,6 @@ impl GfwState {
     /// How many first-data packets the passive stage inspected.
     pub fn inspected_connections(&self) -> u64 {
         self.inspected
-    }
-
-    /// The features the passive stage scored from `conn`'s first data
-    /// packet, while the connection is still tracked (entries retire on
-    /// RST/FIN). This is the cache that guarantees the entropy
-    /// histogram runs at most once per connection.
-    pub fn first_payload_features(&self, conn: ConnId) -> Option<FirstPayloadFeatures> {
-        match self.conn_track.get(&conn) {
-            Some(ConnTrack::SeenData(f)) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Timestamp clock of prober process `i` (for TSval ground truth).
-    pub fn process_clock(&self, i: usize) -> netsim::host::TsClock {
-        self.fleet.processes[i].clock
     }
 
     /// Label `ip` as a genuine Shadowsocks server for evaluation.

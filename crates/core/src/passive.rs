@@ -209,18 +209,6 @@ impl PassiveDetector {
         payload.starts_with(b"SSH-")
     }
 
-    /// True if this payload is a *candidate*: not a recognizable
-    /// plaintext protocol and inside the replay-eligible length window.
-    /// Candidates feed the per-server length-consistency statistics even
-    /// when they are not stored (storage is remainder-biased; the
-    /// consistency signal must not be).
-    pub fn is_candidate(&self, payload: &[u8]) -> bool {
-        if self.is_exempt_plaintext(payload) {
-            return false;
-        }
-        self.in_band.get(payload.len()).copied().unwrap_or(false)
-    }
-
     /// All first-payload features in one pass: the plaintext check and
     /// length-table loads run once, and the entropy histogram is built
     /// only when a nonzero length weight makes it matter.

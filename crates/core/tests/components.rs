@@ -83,16 +83,15 @@ fn classifier_tracks_servers_independently() {
 }
 
 #[test]
-fn probe_summary_counts_by_kind() {
-    // Build a tiny world so a GfwState exists, then summarize.
+fn probe_log_is_empty_before_traffic() {
+    // Build a tiny world so a GfwState exists, then read its log.
     use gfw_core::{Gfw, GfwConfig};
     let mut sim = Simulator::new(SimConfig::default(), 3);
     let mut cfg = GfwConfig::default();
     cfg.fleet.pool_size = 50;
     let handle = Gfw::install(&mut sim, cfg, 4);
     let st = handle.state.borrow();
-    let summary = gfw_core::gfw::probe_summary(&st);
-    assert!(summary.is_empty(), "no probes before any traffic");
+    assert!(st.probes().is_empty(), "no probes before any traffic");
 }
 
 #[test]

@@ -190,12 +190,12 @@ fn ssh_exemption_requires_full_banner_prefix() {
 #[test]
 fn candidate_tracks_window_and_exemption() {
     let d = det();
-    assert!(d.is_candidate(&opaque(161)));
-    assert!(!d.is_candidate(&opaque(160)));
+    assert!(d.features(&opaque(161)).candidate);
+    assert!(!d.features(&opaque(160)).candidate);
     let mut http = b"GET /a".to_vec();
     http.resize(402, b'x');
     assert!(
-        !d.is_candidate(&http),
+        !d.features(&http).candidate,
         "exempt payload counted as candidate"
     );
 }

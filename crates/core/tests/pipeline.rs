@@ -89,7 +89,9 @@ fn build(profile: Profile, method: Method, sensitivity: f64, seed: u64) -> Setup
     let server_ip = sim.add_host(HostConfig::outside("ss-server"));
     let client_ip = sim.add_host(HostConfig::china("ss-client"));
     let web_ip = sim.add_host(HostConfig::outside("website"));
-    let cap = sim.add_capture(Capture::for_host(server_ip));
+    let cap = sim.add_capture(Capture::with_filter(move |p| {
+        p.src.0 == server_ip || p.dst.0 == server_ip
+    }));
 
     let ss_config = ServerConfig::new(method, "pipeline-pw", profile);
     // The website echoes so proxied fetches complete.

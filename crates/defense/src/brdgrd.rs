@@ -52,14 +52,6 @@ impl Brdgrd {
     pub fn disable(sim: &mut Simulator, server: Ipv4) {
         sim.set_window_shaper(server, None);
     }
-
-    /// §7.1 limitation: does a window this small risk RSTs from
-    /// implementations that reset when the first segment cannot hold a
-    /// complete target specification? (Stream ciphers need IV + 7
-    /// bytes.)
-    pub fn risks_connection_failure(&self, iv_len: usize) -> bool {
-        (self.window_range.0 as usize) < iv_len + 7
-    }
 }
 
 #[cfg(test)]
@@ -126,19 +118,5 @@ mod tests {
         sim.run();
         let plain_first = sim.capture(cap).first_data_per_conn()[0].payload.len();
         assert_eq!(plain_first, 400);
-    }
-
-    #[test]
-    fn failure_risk_flag() {
-        let tight = Brdgrd {
-            window_range: (10, 15),
-            restore_after_bytes: 500,
-        };
-        assert!(tight.risks_connection_failure(16));
-        let safe = Brdgrd {
-            window_range: (64, 120),
-            restore_after_bytes: 500,
-        };
-        assert!(!safe.risks_connection_failure(16));
     }
 }

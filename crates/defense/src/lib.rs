@@ -8,21 +8,17 @@
 //!   feature (§7.1, Fig 11). Plus the client-side alternative the
 //!   OutlineVPN developers shipped after disclosure: merging header and
 //!   data so the first-packet length is variable ([`shaping`]).
-//! * **Against active probing** ([`timing_filter`], [`harden`]): proper
-//!   AEAD-only authentication, a nonce *and timestamp* replay filter
-//!   that stays sound across restarts (the VMess-style fix for the
-//!   §3.5/§7.2 asymmetry), and consistent server reactions ("read
-//!   forever on error").
+//! * **Against active probing** ([`harden`]): the §7.2 advice applied
+//!   to a behaviour profile — keep a replay filter and give consistent
+//!   server reactions ("read forever on error").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod brdgrd;
 pub mod shaping;
-pub mod timing_filter;
 
 pub use brdgrd::Brdgrd;
-pub use timing_filter::{TimedReplayFilter, VerdictReason};
 
 use shadowsocks::profile::{ErrorReaction, Profile};
 

@@ -54,12 +54,6 @@ pub fn shape_first_flight(
     }
 }
 
-/// Does a first segment of this length escape the GFW's replay-eligible
-/// window (161–999 bytes, Fig 8)?
-pub fn escapes_length_window(first_segment_len: usize) -> bool {
-    !(161..=999).contains(&first_segment_len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +89,6 @@ mod tests {
         let out = shape_first_flight(FirstFlightPolicy::Chop { size: 40 }, &wire, &mut rng);
         assert_eq!(out.len(), 10);
         assert!(out.iter().all(|s| s.len() <= 40));
-        assert!(escapes_length_window(out[0].len()));
     }
 
     #[test]
@@ -108,14 +101,5 @@ mod tests {
             &mut rng,
         );
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn window_escape_boundaries() {
-        assert!(escapes_length_window(160));
-        assert!(!escapes_length_window(161));
-        assert!(!escapes_length_window(999));
-        assert!(escapes_length_window(1000));
-        assert!(escapes_length_window(40));
     }
 }

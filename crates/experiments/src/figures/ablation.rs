@@ -53,7 +53,7 @@ pub struct VariantScore {
 impl VariantScore {
     /// Selectivity: how much more likely a Shadowsocks packet is to be
     /// stored than the worse of the two controls.
-    pub fn selectivity(&self) -> f64 {
+    fn selectivity(&self) -> f64 {
         let worst = self.fpr_tls.max(self.fpr_http).max(1e-12);
         self.tpr_weight / worst
     }

@@ -28,7 +28,7 @@ pub struct Battery {
 
 impl Battery {
     /// Smallest battery reaching full accuracy, if any.
-    pub fn full_accuracy_at(&self) -> Option<usize> {
+    fn full_accuracy_at(&self) -> Option<usize> {
         self.points
             .iter()
             .find(|p| p.accuracy >= 1.0)

@@ -20,12 +20,12 @@ pub struct Fig11 {
 
 impl Fig11 {
     /// Mean probes/hour while brdgrd was active (after settling).
-    pub fn active_rate(&self) -> f64 {
+    fn active_rate(&self) -> f64 {
         self.mean_rate(true)
     }
 
     /// Mean probes/hour while brdgrd was inactive (after settling).
-    pub fn inactive_rate(&self) -> f64 {
+    fn inactive_rate(&self) -> f64 {
         self.mean_rate(false)
     }
 

@@ -26,7 +26,7 @@ impl Fig3 {
     }
 
     /// Fraction of addresses with more than one probe.
-    pub fn multi_frac(&self) -> f64 {
+    fn multi_frac(&self) -> f64 {
         if self.per_ip.is_empty() {
             return 0.0;
         }
@@ -34,7 +34,7 @@ impl Fig3 {
     }
 
     /// Busiest address's probe count.
-    pub fn max_count(&self) -> u64 {
+    fn max_count(&self) -> u64 {
         self.per_ip.values().copied().max().unwrap_or(0)
     }
 

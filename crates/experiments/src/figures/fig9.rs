@@ -27,7 +27,7 @@ impl Fig9 {
 
     /// Pooled replay ratio over an inclusive bin range (pooling keeps
     /// small-sample noise manageable).
-    pub fn pooled_ratio(&self, lo: usize, hi: usize) -> f64 {
+    fn pooled_ratio(&self, lo: usize, hi: usize) -> f64 {
         let (t, r) = self.bins[lo..=hi]
             .iter()
             .fold((0usize, 0usize), |acc, b| (acc.0 + b.0, acc.1 + b.1));

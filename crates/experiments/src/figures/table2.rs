@@ -22,7 +22,7 @@ pub struct Table2 {
 impl Table2 {
     /// The paper's shallow-head property: the busiest address accounts
     /// for well under 1% of all probes.
-    pub fn head_share(&self) -> f64 {
+    fn head_share(&self) -> f64 {
         self.top
             .first()
             .map(|&(_, c)| c as f64 / self.total.max(1) as f64)

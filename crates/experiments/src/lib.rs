@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod figures;
 pub mod report;
 pub mod runner;

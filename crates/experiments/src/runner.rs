@@ -67,7 +67,7 @@ pub fn effective_jobs() -> usize {
 }
 
 /// Extract the value of a `--jobs N` / `--jobs=N` argument, if present.
-pub fn parse_jobs_arg(args: &[String]) -> Option<usize> {
+fn parse_jobs_arg(args: &[String]) -> Option<usize> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--jobs" {
@@ -172,7 +172,7 @@ pub fn run_jobs<J: Job>(specs: Vec<J>) -> Vec<J::Output> {
 }
 
 /// Run jobs with an explicit worker count; outputs in spec order.
-pub fn run_jobs_with<J: Job>(specs: Vec<J>, workers: usize) -> Vec<J::Output> {
+fn run_jobs_with<J: Job>(specs: Vec<J>, workers: usize) -> Vec<J::Output> {
     run_jobs_detailed_with(specs, workers)
         .into_iter()
         .map(|r| r.output)

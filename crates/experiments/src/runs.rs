@@ -81,7 +81,7 @@ impl Default for SsRunConfig {
 /// First-packet framing overhead for a method: the wire bytes added to
 /// the application payload (IV/salt, target spec, AEAD chunk framing
 /// with a 7-byte IPv4 spec in its own chunk).
-pub fn first_packet_overhead(method: Method) -> usize {
+fn first_packet_overhead(method: Method) -> usize {
     match method.kind() {
         sscrypto::method::Kind::Stream => method.iv_len() + 7,
         sscrypto::method::Kind::Aead => method.iv_len() + (2 + 16) + 7 + 16 + (2 + 16) + 16,

@@ -6,7 +6,7 @@
 //! analysis crate builds on.
 
 use crate::conn::ConnId;
-use crate::packet::{Ipv4, Packet};
+use crate::packet::Packet;
 
 /// A capture's stored-packet predicate.
 type PacketFilter = Box<dyn Fn(&Packet) -> bool>;
@@ -30,14 +30,6 @@ impl Capture {
     pub fn all() -> Capture {
         Capture {
             filter: None,
-            packets: Vec::new(),
-        }
-    }
-
-    /// Capture only packets involving `host` (either direction).
-    pub fn for_host(host: Ipv4) -> Capture {
-        Capture {
-            filter: Some(Box::new(move |p| p.src.0 == host || p.dst.0 == host)),
             packets: Vec::new(),
         }
     }
@@ -110,7 +102,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{SocketAddr, TcpFlags};
+    use crate::packet::{Ipv4, SocketAddr, TcpFlags};
     use crate::time::SimTime;
     use bytes::Bytes;
 
@@ -137,7 +129,7 @@ mod tests {
         let a = Ipv4::new(1, 1, 1, 1);
         let b = Ipv4::new(2, 2, 2, 2);
         let c = Ipv4::new(3, 3, 3, 3);
-        let mut cap = Capture::for_host(a);
+        let mut cap = Capture::with_filter(move |p| p.src.0 == a || p.dst.0 == a);
         cap.observe(&mk((a, 1), (b, 2), TcpFlags::SYN, b"", 1));
         cap.observe(&mk((b, 2), (a, 1), TcpFlags::SYN_ACK, b"", 1));
         cap.observe(&mk((b, 2), (c, 3), TcpFlags::SYN, b"", 2));

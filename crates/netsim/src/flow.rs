@@ -283,7 +283,7 @@ impl FluidState {
     }
 
     /// True if `conn` currently has a promoted flow.
-    pub fn is_fluid(&self, conn: ConnId) -> bool {
+    fn is_fluid(&self, conn: ConnId) -> bool {
         self.flows.contains_key(&conn)
     }
 

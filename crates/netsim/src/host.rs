@@ -133,7 +133,7 @@ impl HostConfig {
     }
 
     /// Linux-flavoured defaults in the given region.
-    pub fn with_region(name: &str, region: Region) -> HostConfig {
+    fn with_region(name: &str, region: Region) -> HostConfig {
         HostConfig {
             name: name.to_string(),
             region,

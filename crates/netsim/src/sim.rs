@@ -41,9 +41,7 @@ use crate::time::{Duration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 /// Global simulator parameters.
 #[derive(Clone, Copy, Debug)]
@@ -269,11 +267,6 @@ impl Simulator {
         &self.config
     }
 
-    /// The simulator's RNG (draws become part of the schedule).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// Number of currently live (not fully closed) connections.
     pub fn live_connections(&self) -> usize {
         self.conns.len()
@@ -342,14 +335,6 @@ impl Simulator {
         self.taps.push(tap);
     }
 
-    /// Register a shared tap; the returned handle can be inspected while
-    /// the simulator runs.
-    pub fn add_shared_tap<T: Tap + 'static>(&mut self, tap: T) -> Rc<RefCell<T>> {
-        let shared = Rc::new(RefCell::new(tap));
-        self.taps.push(Box::new(SharedTap(shared.clone())));
-        shared
-    }
-
     /// Register a capture; observes every packet at send time.
     pub fn add_capture(&mut self, cap: Capture) -> CaptureId {
         self.captures.push(cap);
@@ -364,12 +349,6 @@ impl Simulator {
     /// Mutable capture access (e.g. to clear between experiment phases).
     pub fn capture_mut(&mut self, id: CaptureId) -> &mut Capture {
         &mut self.captures[id.0]
-    }
-
-    /// Schedule a timer for `app` at absolute time `at`.
-    pub fn set_timer_at(&mut self, at: SimTime, app: AppId, token: u64) {
-        let at = at.max(self.now);
-        self.push(at, Event::Timer { app, token });
     }
 
     /// Open a connection at time `at` (clamped to ≥ now) from host
@@ -1480,13 +1459,5 @@ impl Simulator {
                 },
             );
         }
-    }
-}
-
-struct SharedTap<T: Tap>(Rc<RefCell<T>>);
-
-impl<T: Tap> Tap for SharedTap<T> {
-    fn on_packet(&mut self, pkt: &Packet, ctx: &mut TapCtx) -> Verdict {
-        self.0.borrow_mut().on_packet(pkt, ctx)
     }
 }

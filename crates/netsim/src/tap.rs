@@ -52,23 +52,3 @@ pub trait Tap {
     /// Inspect one border-crossing packet.
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut TapCtx) -> Verdict;
 }
-
-/// A tap that counts packets and never drops; useful in tests and as a
-/// control observer.
-#[derive(Default)]
-pub struct CountingTap {
-    /// Packets seen.
-    pub seen: u64,
-    /// Data-carrying packets seen.
-    pub data_packets: u64,
-}
-
-impl Tap for CountingTap {
-    fn on_packet(&mut self, pkt: &Packet, _ctx: &mut TapCtx) -> Verdict {
-        self.seen += 1;
-        if pkt.has_payload() {
-            self.data_packets += 1;
-        }
-        Verdict::Pass
-    }
-}

@@ -267,7 +267,9 @@ fn listener_can_be_removed() {
 #[test]
 fn capture_clear_keeps_filter() {
     let (mut sim, server, client) = world();
-    let cap = sim.add_capture(Capture::for_host(server));
+    let cap = sim.add_capture(Capture::with_filter(move |p| {
+        p.src.0 == server || p.dst.0 == server
+    }));
     let sapp = sim.add_app(Box::new(Script::default()));
     sim.listen((server, 7), sapp);
     let capp = sim.add_app(Box::new(Script {

@@ -55,7 +55,7 @@ pub struct AddrTypeOracle {
 impl AddrTypeOracle {
     /// Values that did *not* reset — i.e. decrypted to a valid address
     /// type (or an incomplete-but-plausible spec).
-    pub fn non_reset(&self) -> usize {
+    fn non_reset(&self) -> usize {
         256 - self.behaviours.get(&Behaviour::Reset).copied().unwrap_or(0)
     }
 
@@ -63,7 +63,7 @@ impl AddrTypeOracle {
     /// 48/256 with (§5.2.1's 3/16). A count of exactly 1 means only the
     /// untampered original (delta 0) was accepted — an *authenticated*
     /// protocol, not a malleable stream cipher.
-    pub fn masking_inferred(&self) -> Option<bool> {
+    fn masking_inferred(&self) -> Option<bool> {
         match self.non_reset() {
             2..=10 => Some(false),
             38..=58 => Some(true),

@@ -169,7 +169,7 @@ pub fn infer(oracle: &mut EngineOracle, samples: usize) -> Inference {
 /// one, the second behaves statistically like the first. Only
 /// meaningful when the baseline RST rate is well below 1 (the masked
 /// stream case, 13/16).
-pub fn detect_replay_filter(oracle: &mut EngineOracle) -> bool {
+fn detect_replay_filter(oracle: &mut EngineOracle) -> bool {
     let mut always_rst = true;
     let mut informative = 0;
     while informative < 20 {

@@ -171,11 +171,6 @@ impl EngineOracle {
         self.rng.fill(&mut p[..]);
         p
     }
-
-    /// Restart the shared server (replay filter forgets — §7.2).
-    pub fn restart_shared(&mut self) {
-        self.shared.restart();
-    }
 }
 
 #[cfg(test)]

@@ -53,11 +53,6 @@ impl SsServerApp {
         }
     }
 
-    /// Access the engine (e.g. to trigger a simulated restart).
-    pub fn engine_mut(&mut self) -> &mut ServerConn {
-        &mut self.engine
-    }
-
     fn token(conn: ConnId, kind: u64) -> u64 {
         conn.0 * 4 + kind
     }

@@ -157,11 +157,6 @@ impl ServerConn {
         self.conns.remove(&conn);
     }
 
-    /// Number of tracked connections.
-    pub fn live_conns(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Simulate a server restart: the replay filter forgets everything
     /// (§7.2's asymmetry) and all connection state is dropped.
     pub fn restart(&mut self) {

@@ -179,7 +179,7 @@ impl AeadEncryptor {
     /// Seal one chunk (`plain.len() <= MAX_CHUNK`) directly onto `out`,
     /// prepending the salt on the first call. Both frames are encrypted
     /// in place on `out`'s tail: no intermediate buffers.
-    pub fn seal_chunk_into(&mut self, plain: &[u8], out: &mut Vec<u8>) {
+    fn seal_chunk_into(&mut self, plain: &[u8], out: &mut Vec<u8>) {
         assert!(plain.len() <= MAX_CHUNK, "chunk too large");
         out.reserve(self.salt.len() + 2 + TAG_LEN * 2 + plain.len());
         if !self.salt_sent {
@@ -205,14 +205,6 @@ impl AeadEncryptor {
         for chunk in plain.chunks(MAX_CHUNK) {
             self.seal_chunk_into(chunk, out);
         }
-    }
-
-    /// Seal one chunk (`plain.len() <= MAX_CHUNK`), prepending the salt
-    /// on the first call.
-    pub fn seal_chunk(&mut self, plain: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.seal_chunk_into(plain, &mut out);
-        out
     }
 
     /// Seal arbitrary-length data as a sequence of chunks.
@@ -476,10 +468,10 @@ mod tests {
         let m = Method::ChaCha20IetfPoly1305;
         let key = key_for(m);
         let mut enc = AeadEncryptor::new(m, &key, vec![1u8; 32]);
-        let ct = enc.seal_chunk(b"abc");
+        let ct = enc.seal(b"abc");
         assert_eq!(ct.len(), 32 + 2 + 16 + 3 + 16);
         // Second frame has no salt.
-        let ct2 = enc.seal_chunk(b"defg");
+        let ct2 = enc.seal(b"defg");
         assert_eq!(ct2.len(), 2 + 16 + 4 + 16);
     }
 

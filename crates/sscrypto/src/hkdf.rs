@@ -7,7 +7,7 @@
 use crate::hmac::{hmac, Hash, Hmac};
 
 /// HKDF-Extract: returns the pseudorandom key.
-pub fn extract<H: Hash>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
+fn extract<H: Hash>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
     hmac::<H>(salt, ikm)
 }
 
@@ -16,7 +16,7 @@ pub fn extract<H: Hash>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if `out_len > 255 * H::DIGEST_LEN`, per RFC 5869.
-pub fn expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+fn expand<H: Hash>(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
     assert!(
         out_len <= 255 * H::DIGEST_LEN,
         "HKDF output length too large"

@@ -83,7 +83,7 @@ impl CpuFeatures {
 
 /// Whether `GFWSIM_NO_HWCRYPTO` disables the hardware paths for this
 /// process (set and neither empty nor `0`). Read once and cached.
-pub fn env_disabled() -> bool {
+fn env_disabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
     *DISABLED.get_or_init(|| {
         std::env::var("GFWSIM_NO_HWCRYPTO").is_ok_and(|v| !v.is_empty() && v != "0")

@@ -2,9 +2,8 @@
 //!
 //! [`RandomDataClient`] is the Table 4 client: one connection, one
 //! payload of specified length/entropy, then silence until the peer or
-//! a local timer closes. [`PayloadOnceClient`] generalizes it to an
-//! arbitrary payload factory, which is how browse and HTTP drivers are
-//! built.
+//! a local timer closes. [`BulkTransferClient`] is the hybrid engine's
+//! bulk-transfer client.
 
 use crate::payload::entropy_payload;
 use netsim::app::{App, AppEvent, Ctx};
@@ -12,7 +11,6 @@ use netsim::conn::ConnId;
 use netsim::time::Duration;
 use rand::Rng;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Sampling spec for one dimension: fixed or uniform range.
@@ -60,7 +58,6 @@ pub struct RandomDataClient {
     pub entropy: Sample,
     /// How long to keep the connection before FIN.
     pub close_after: Duration,
-    sent: HashMap<ConnId, (usize, f64)>,
 }
 
 impl RandomDataClient {
@@ -85,14 +82,7 @@ impl RandomDataClient {
             length,
             entropy,
             close_after: Duration::from_secs(15),
-            sent: HashMap::new(),
         }
-    }
-
-    /// What was sent on a connection (length, entropy target), for
-    /// experiment bookkeeping.
-    pub fn sent_spec(&self, conn: ConnId) -> Option<(usize, f64)> {
-        self.sent.get(&conn).copied()
     }
 }
 
@@ -103,15 +93,11 @@ impl App for RandomDataClient {
                 let len = self.length.draw(ctx.rng).round().max(1.0) as usize;
                 let bits = self.entropy.draw(ctx.rng);
                 let payload = entropy_payload(len, bits, ctx.rng);
-                self.sent.insert(conn, (len, bits));
                 ctx.send(conn, payload);
                 ctx.set_timer(self.close_after, conn.0);
             }
             AppEvent::Timer { token } => {
                 ctx.fin(ConnId(token));
-            }
-            AppEvent::PeerFin { conn } | AppEvent::PeerRst { conn } => {
-                self.sent.remove(&conn);
             }
             _ => {}
         }
@@ -165,43 +151,6 @@ impl App for BulkTransferClient {
                 self.completed.set(self.completed.get() + 1);
                 self.bytes.set(self.bytes.get() + bytes);
                 ctx.set_timer(self.linger, conn.0);
-            }
-            AppEvent::Timer { token } => ctx.fin(ConnId(token)),
-            _ => {}
-        }
-    }
-}
-
-/// A boxed payload factory: draws one payload from the simulation RNG.
-type PayloadFactory = Box<dyn FnMut(&mut rand::rngs::StdRng) -> Vec<u8>>;
-
-/// A generic one-shot client: on connect, sends `factory(rng)` and then
-/// closes after a hold time. Useful for HTTP/TLS control traffic.
-pub struct PayloadOnceClient {
-    factory: PayloadFactory,
-    /// Hold time before FIN.
-    pub close_after: Duration,
-}
-
-impl PayloadOnceClient {
-    /// Build from a payload factory.
-    pub fn new(
-        factory: impl FnMut(&mut rand::rngs::StdRng) -> Vec<u8> + 'static,
-    ) -> PayloadOnceClient {
-        PayloadOnceClient {
-            factory: Box::new(factory),
-            close_after: Duration::from_secs(15),
-        }
-    }
-}
-
-impl App for PayloadOnceClient {
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
-        match ev {
-            AppEvent::Connected { conn } => {
-                let payload = (self.factory)(ctx.rng);
-                ctx.send(conn, payload);
-                ctx.set_timer(self.close_after, conn.0);
             }
             AppEvent::Timer { token } => ctx.fin(ConnId(token)),
             _ => {}
@@ -332,29 +281,5 @@ mod tests {
         // The hybrid engine models the transfer tails without
         // per-segment events: far fewer packets on the wire.
         assert!(stats_h.packets_sent * 10 < stats_p.packets_sent);
-    }
-
-    #[test]
-    fn payload_once_client_delivers_factory_output() {
-        let mut sim = Simulator::new(SimConfig::default(), 4);
-        let server = sim.add_host(HostConfig::outside("sink"));
-        let client = sim.add_host(HostConfig::china("client"));
-        let cap = sim.add_capture(Capture::all());
-        let sink = sim.add_app(Box::new(Sink));
-        sim.listen((server, 80), sink);
-        let app = sim.add_app(Box::new(PayloadOnceClient::new(|rng| {
-            crate::payload::http_request("example.com", 300, rng)
-        })));
-        sim.connect_at(
-            SimTime::ZERO,
-            app,
-            client,
-            (server, 80),
-            TcpTuning::default(),
-        );
-        sim.run();
-        let firsts = sim.capture(cap).first_data_per_conn();
-        assert_eq!(firsts.len(), 1);
-        assert!(firsts[0].payload.starts_with(b"GET "));
     }
 }

@@ -1,13 +1,14 @@
 //! # trafficgen — workload generators
 //!
-//! The measurement experiments of §3.1 and §4.1 need traffic:
+//! The measurement experiments of §3.1, §4.1 and the base-rate sweep
+//! need traffic:
 //!
-//! * genuine browsing through a Shadowsocks tunnel (curl/Firefox over
-//!   an Alexa-like site list);
 //! * the **random-data clients** of Table 4, which send one payload per
 //!   connection with a *specified length and Shannon entropy*;
 //! * plaintext control traffic (HTTP requests, TLS ClientHellos) that
-//!   a competent passive detector must ignore.
+//!   a competent passive detector must ignore;
+//! * bulk-transfer clients for the hybrid engine, and per-protocol
+//!   background [`profiles`] blended with Shadowsocks flows by [`mix`].
 //!
 //! This crate builds all of those, both as pure payload generators and
 //! as `netsim` driver applications.
@@ -15,12 +16,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod browse;
 pub mod drivers;
 pub mod mix;
 pub mod payload;
 pub mod profiles;
-pub mod sites;
 
 pub use drivers::{BulkTransferClient, RandomDataClient};
 pub use mix::{MixHandles, MixSpec, TrafficMix};

@@ -90,7 +90,7 @@ impl Profile {
 
     /// TLS 1.2: natural-length ClientHello (record-header exempt),
     /// mixed plaintext/key-material entropy.
-    pub fn tls12() -> Profile {
+    fn tls12() -> Profile {
         Profile {
             name: "tls1.2",
             len_support: (170, 280),
@@ -103,7 +103,7 @@ impl Profile {
 
     /// TLS 1.3: ClientHello padded to 517 bytes (RFC 7685, the
     /// Chrome-lineage fixed shape), record-header exempt.
-    pub fn tls13() -> Profile {
+    fn tls13() -> Profile {
         Profile {
             name: "tls1.3",
             len_support: (517, 517),
@@ -129,7 +129,7 @@ impl Profile {
 
     /// DNS over TCP: short framed queries — never exempt, but below
     /// the detector's length band, so never stored either.
-    pub fn dns_tcp() -> Profile {
+    fn dns_tcp() -> Profile {
         Profile {
             name: "dns-tcp",
             len_support: (30, 70),
@@ -250,19 +250,6 @@ impl Profile {
             t.round() as u64
         }
     }
-
-    /// The profile's canonical first payload: generated from a fixed
-    /// per-profile seed, so classification tests and documentation
-    /// always talk about the same bytes.
-    pub fn canonical_first_payload(&self) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(canonical_seed(self.index() as u64));
-        self.first_payload(&mut rng)
-    }
-}
-
-/// Mix a stable per-profile stream id into the canonical seed base.
-fn canonical_seed(idx: u64) -> u64 {
-    0xBA5E_11B5_0000_0000 ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Derive an independent deterministic RNG for one connection: used by
@@ -288,13 +275,6 @@ mod tests {
         let mut names: Vec<_> = all.iter().map(|p| p.name).collect();
         names.dedup();
         assert_eq!(names.len(), 6);
-    }
-
-    #[test]
-    fn canonical_payloads_are_stable_across_calls() {
-        for p in Profile::all() {
-            assert_eq!(p.canonical_first_payload(), p.canonical_first_payload());
-        }
     }
 
     #[test]

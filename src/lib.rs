@@ -8,8 +8,8 @@
 //!   protocol (stream and AEAD constructions over from-scratch
 //!   cryptography in [`sscrypto`]), executable behaviour profiles of
 //!   the implementations the paper studied, and the §7 defenses
-//!   (brdgrd window shaping, timestamp+nonce replay filters, consistent
-//!   reactions).
+//!   (brdgrd window shaping, client-side first-flight shaping,
+//!   consistent reactions).
 //! * **Adversary** ([`gfw`]): the Great Firewall model — passive
 //!   length/entropy detection, the seven probe types sent in stages
 //!   from a churned fleet of prober addresses steered by a few
