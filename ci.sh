@@ -36,12 +36,14 @@ echo "==> exp-baserate --quick smoke"
 # GFW under the hybrid engine; every flow must be inspected.
 ./target/release/exp-baserate --quick > /dev/null
 
-echo "==> crypto fast-path differential properties"
+echo "==> differential properties (crypto fast paths, event queue)"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the
 # AES-NI/CLMUL/SIMD hardware paths must stay byte-identical to the
-# scalar reference paths.
+# scalar reference paths, and the timer wheel must pop exactly what a
+# BinaryHeap reference pops.
 cargo test -q -p sscrypto --test crypto_props
 cargo test -q -p shadowsocks --test wire_props
+cargo test -q --release -p netsim --test eventq_props
 
 echo "==> forced-scalar crypto/entropy suites (GFWSIM_NO_HWCRYPTO=1)"
 # The scalar oracles are shipping code, not test fixtures: the full

@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 pub const SIM_CRATES: &[&str] = &["core", "netsim", "probesim", "trafficgen", "defense"];
 
 /// Crates with a panic-site budget (P1).
-pub const PANIC_BUDGET_CRATES: &[&str] = &["core", "netsim", "sscrypto"];
+pub const PANIC_BUDGET_CRATES: &[&str] =
+    &["core", "netsim", "shadowsocks", "sscrypto", "trafficgen"];
 
 /// Wall-clock / OS-entropy tokens banned in simulation crates.
 const D1_TOKENS: &[&str] = &[

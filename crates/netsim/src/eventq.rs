@@ -11,18 +11,25 @@
 //! Time is bucketed into ticks of 2^[`GRANULARITY_BITS`] ns (≈65 µs —
 //! far below the simulator's millisecond-scale latencies, so ties
 //! within one tick are rare and cheap to sort). Six levels of 64 slots
-//! cover a span of 64^6 ticks (≈52 days of simulated time); an entry
-//! whose delay exceeds the span waits in a small overflow heap and is
-//! popped from there when it becomes globally minimal.
+//! cover a span of 64^6 ticks (2^52 ns, ≈52 days of simulated time).
 //!
-//! * level ⌊log₆₄ Δ⌋ holds entries Δ ticks ahead of the cursor; the
-//!   slot index is the level's 6-bit field of the absolute tick;
-//! * each level keeps a 64-bit occupancy bitmap and a per-slot minimum
-//!   tick, so finding the next wheel tick scans only occupied slots;
-//! * popping refills a small `ready` batch: every entry of the minimal
-//!   tick, sorted by `(time, seq)` once. Entries drained from a slot
-//!   that belong to a later tick re-file towards lower levels, which is
-//!   the classic cascade.
+//! * an entry files at the level of the highest 6-bit field in which
+//!   its tick differs from the cursor (`now_tick ^ tick`, as tokio's
+//!   and Linux's timer wheels do); the slot is that field of its tick.
+//!   An entry that differs above the top level waits in a small
+//!   overflow heap;
+//! * a level-L entry shares the cursor's fields above L and exceeds it
+//!   in field L, so every entry at a lower level, or in a lower slot of
+//!   level L, is earlier: the wheel minimum sits in the lowest occupied
+//!   level's `trailing_zeros` slot of its 64-bit occupancy bitmap;
+//! * popping refills a small `ready` batch by draining only that slot:
+//!   the cursor jumps to the smallest tick among its entries, which are
+//!   sorted by `(time, seq)` once, and the rest now differ from the
+//!   cursor below level L, so they re-file strictly lower (the classic
+//!   cascade). Every other wheel entry keeps its slot;
+//! * after each cursor move, overflow entries that now fit in the
+//!   cursor's span move into the wheel, so the overflow only ever holds
+//!   entries later than the whole wheel.
 //!
 //! Pushes for times at or before the cursor (the common "deliver after
 //! zero-or-small latency during the current tick" case, or clamped
@@ -46,7 +53,8 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels.
 const LEVELS: usize = 6;
-/// Wheel span in ticks; delays beyond this go to the overflow heap.
+/// Wheel span in ticks; a tick that differs from the cursor above it
+/// goes to the overflow heap.
 const SPAN_TICKS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
 struct Entry<T> {
@@ -87,8 +95,8 @@ impl<T> Ord for Entry<T> {
 /// A min-queue of `(SimTime, T)` entries ordered by `(time, insertion
 /// sequence)` — the timer wheel plus its overflow heap.
 pub struct EventQueue<T> {
-    /// Wheel cursor: the tick of the most recent refill. All wheel
-    /// entries are at ticks ≥ the cursor.
+    /// Wheel cursor: the tick of the most recent refill. All wheel and
+    /// overflow entries are at ticks > the cursor.
     now_tick: u64,
     /// Next insertion sequence number (the tiebreaker).
     next_seq: u64,
@@ -96,14 +104,12 @@ pub struct EventQueue<T> {
     /// `LEVELS × SLOTS` buckets, flattened; entries within a bucket are
     /// unordered until drained.
     slots: Vec<Vec<Entry<T>>>,
-    /// Minimum tick per bucket (`u64::MAX` when empty).
-    slot_min: Vec<u64>,
     /// Per-level occupancy bitmaps.
     occ: [u64; LEVELS],
     /// The minimal tick's entries, sorted descending by `(at, seq)` so
     /// `pop` takes from the back.
     ready: Vec<Entry<T>>,
-    /// Entries scheduled beyond the wheel span.
+    /// Entries whose tick differs from the cursor above the top level.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
 }
 
@@ -121,7 +127,6 @@ impl<T> EventQueue<T> {
             next_seq: 0,
             len: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            slot_min: vec![u64::MAX; LEVELS * SLOTS],
             occ: [0; LEVELS],
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
@@ -182,75 +187,49 @@ impl<T> EventQueue<T> {
             self.ready.insert(pos, e);
             return;
         }
-        let delta = tick - self.now_tick;
-        if delta >= SPAN_TICKS {
+        let diff = tick ^ self.now_tick;
+        if diff >= SPAN_TICKS {
             self.overflow.push(Reverse(e));
             return;
         }
-        // delta ≥ 1, so the high bit index is well-defined.
-        let level = ((63 - delta.leading_zeros()) / SLOT_BITS) as usize;
+        // tick > cursor, so diff ≥ 1 and the high bit index is defined.
+        let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let idx = level * SLOTS + slot;
-        self.slots[idx].push(e);
-        self.slot_min[idx] = self.slot_min[idx].min(tick);
+        self.slots[level * SLOTS + slot].push(e);
         self.occ[level] |= 1 << slot;
     }
 
-    /// Minimum tick over all occupied wheel slots.
-    fn wheel_min(&self) -> u64 {
-        let mut best = u64::MAX;
-        for level in 0..LEVELS {
-            let mut bits = self.occ[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                best = best.min(self.slot_min[level * SLOTS + slot]);
-            }
-        }
-        best
-    }
-
     /// Advance the cursor to the minimal queued tick and move every
-    /// entry of that tick into `ready`, sorted. Entries drained on the
-    /// way that belong to later ticks re-file (the cascade).
+    /// entry of that tick into `ready`, sorted. The drained slot's later
+    /// entries re-file one or more levels lower (the cascade).
     fn refill(&mut self) {
         debug_assert!(self.ready.is_empty() && self.len > 0);
-        let wmin = self.wheel_min();
-        let omin = self.overflow.peek().map_or(u64::MAX, |Reverse(e)| e.tick());
-        let m = wmin.min(omin);
-        debug_assert!(m != u64::MAX, "non-empty queue with no candidate tick");
-        debug_assert!(m >= self.now_tick, "cursor moved backwards");
-        self.now_tick = m;
-
-        while self.overflow.peek().is_some_and(|Reverse(e)| e.tick() == m) {
-            if let Some(Reverse(e)) = self.overflow.pop() {
-                self.ready.push(e);
-            }
-        }
-
-        // Drain every slot whose minimum is the target tick. A slot can
-        // mix ticks from different wheel rotations; the non-minimal
-        // entries re-file into lower levels (or the same slot) with the
-        // advanced cursor.
-        for level in 0..LEVELS {
-            let mut bits = self.occ[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let idx = level * SLOTS + slot;
-                if self.slot_min[idx] != m {
-                    continue;
-                }
-                let drained = std::mem::take(&mut self.slots[idx]);
-                self.slot_min[idx] = u64::MAX;
+        let mut drained = match self.occ.iter().position(|&bits| bits != 0) {
+            Some(level) => {
+                let slot = self.occ[level].trailing_zeros() as usize;
                 self.occ[level] &= !(1 << slot);
-                for e in drained {
-                    if e.tick() == m {
-                        self.ready.push(e);
-                    } else {
-                        self.insert(e);
-                    }
-                }
+                std::mem::take(&mut self.slots[level * SLOTS + slot])
+            }
+            // Empty wheel: the overflow minimum is next.
+            None => Vec::from_iter(self.overflow.pop().map(|Reverse(e)| e)),
+        };
+        let m = drained.iter().fold(u64::MAX, |m, e| m.min(e.tick()));
+        debug_assert!(m != u64::MAX && m > self.now_tick, "cursor must advance");
+        self.now_tick = m;
+        // Overflow entries that the move brought within the span file now,
+        // before any later refill trusts the wheel to hold the minimum.
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse(e)| e.tick() ^ m < SPAN_TICKS)
+        {
+            drained.extend(self.overflow.pop().map(|Reverse(e)| e));
+        }
+        for e in drained {
+            if e.tick() == m {
+                self.ready.push(e);
+            } else {
+                self.insert(e);
             }
         }
 
@@ -338,5 +317,71 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(popped, sorted);
+    }
+
+    /// Time at the start of `tick`.
+    fn at(tick: u64) -> SimTime {
+        SimTime(tick << GRANULARITY_BITS)
+    }
+
+    #[test]
+    fn overflow_entry_entering_the_span_pops_before_a_later_wheel_push() {
+        let mut q = EventQueue::new();
+        // Both differ from cursor 0 above the top level: overflow.
+        q.push(at(SPAN_TICKS + 10), "first");
+        q.push(at(SPAN_TICKS + 20), "second");
+        assert_eq!(q.overflow.len(), 2);
+        // The cursor jumps to "first", which brings "second" in span.
+        assert_eq!(q.pop(), Some((at(SPAN_TICKS + 10), "first")));
+        assert!(q.overflow.is_empty());
+        q.push(at(SPAN_TICKS + 30), "wheel");
+        assert_eq!(q.pop(), Some((at(SPAN_TICKS + 20), "second")));
+        assert_eq!(q.pop(), Some((at(SPAN_TICKS + 30), "wheel")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn level_and_span_boundaries_pop_in_order() {
+        let mut q = EventQueue::new();
+        // Park the cursor on a tick aligned to no level.
+        let c = 12_345_678;
+        q.push(SimTime((c << GRANULARITY_BITS) | 777), 0);
+        assert_eq!(q.pop().map(|(_, d)| d), Some(0));
+        let deltas = [SPAN_TICKS, 4096, 63, SPAN_TICKS - 1, 64, 4095, 1];
+        for &d in &deltas {
+            q.push(at(c + d), d);
+        }
+        let mut sorted = deltas;
+        sorted.sort_unstable();
+        for d in sorted {
+            assert_eq!(q.pop(), Some((at(c + d), d)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn sparse_far_future_queue_drains_one_slot_per_refill() {
+        // The probe-pacing shape: a few entries hours apart.
+        let hour = 3_600_000_000_000u64;
+        let mut q = EventQueue::new();
+        for h in [5u64, 1, 9, 3, 7] {
+            q.push(SimTime(h * hour), h);
+        }
+        let occupied = |q: &EventQueue<u64>| -> Vec<usize> {
+            (0..LEVELS * SLOTS)
+                .filter(|&i| !q.slots[i].is_empty())
+                .collect()
+        };
+        let mut before = occupied(&q);
+        assert_eq!(before.len(), 5, "one slot per entry");
+        for h in [1u64, 3, 5, 7, 9] {
+            assert_eq!(q.pop(), Some((SimTime(h * hour), h)));
+            // The refill drained exactly one slot and re-filed nothing.
+            let after = occupied(&q);
+            assert_eq!(after.len() + 1, before.len());
+            assert!(after.iter().all(|i| before.contains(i)));
+            before = after;
+        }
+        assert!(q.is_empty());
     }
 }

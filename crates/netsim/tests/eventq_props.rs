@@ -11,7 +11,11 @@
 //! * every wheel level (delays spanning nanoseconds to days);
 //! * far-future entries beyond the wheel span (the overflow heap);
 //! * pushes at or before already-popped times (the ready-batch
-//!   insertion path).
+//!   insertion path);
+//! * pushes relative to the last popped time, one tick below, on and
+//!   above every level boundary and the span edge, so cascades and
+//!   overflow-to-wheel moves also run near a far cursor (an absolute
+//!   push there is clamped into the ready batch).
 
 use netsim::eventq::EventQueue;
 use netsim::time::SimTime;
@@ -41,8 +45,15 @@ impl HeapRef {
 #[derive(Clone, Debug)]
 enum Op {
     Push(u64),
+    /// Push at the last popped time plus this many nanoseconds.
+    PushAfter(u64),
     Pop,
 }
+
+/// log2 of the wheel's tick length in nanoseconds.
+const TICK_BITS: u32 = 16;
+/// The wheel's span, 64^6 ticks, in nanoseconds.
+const SPAN_NS: u64 = 1 << (36 + TICK_BITS);
 
 /// Times that exercise every routing path in the wheel: same-tick
 /// collisions, each hierarchy level, and beyond-span overflow.
@@ -61,18 +72,33 @@ fn time_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// Delays that straddle every level boundary: 64^k ticks for k in
+/// 0..=6 (k = 6 is the span edge), minus one, plus zero or one tick,
+/// at four sub-tick offsets; plus uniform delays up to twice the span.
+fn delta_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..7 * 3 * 4).prop_map(|x| {
+            let ticks = 64u64.pow((x % 7) as u32) + (x / 7) % 3 - 1;
+            (ticks << TICK_BITS) + (x / 21) * 16_000
+        }),
+        0u64..2 * SPAN_NS,
+        Just(0),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         time_strategy().prop_map(Op::Push),
         time_strategy().prop_map(Op::Push),
-        time_strategy().prop_map(Op::Push),
+        delta_strategy().prop_map(Op::PushAfter),
+        delta_strategy().prop_map(Op::PushAfter),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Any interleaving of pushes and pops matches the heap reference
     /// exactly, including the final drain.
@@ -85,12 +111,9 @@ proptest! {
         // clamping each pushed time to the last popped time.
         let mut now = 0u64;
         for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push(t) => {
-                    let at = SimTime(t.max(now));
-                    wheel.push(at, i as u32);
-                    reference.push(at, i as u32);
-                }
+            let push = match *op {
+                Op::Push(t) => Some(SimTime(t.max(now))),
+                Op::PushAfter(delta) => Some(SimTime(now + delta)),
                 Op::Pop => {
                     let got = wheel.pop();
                     let want = reference.pop();
@@ -98,7 +121,12 @@ proptest! {
                     if let Some((at, _)) = got {
                         now = at.0;
                     }
+                    None
                 }
+            };
+            if let Some(at) = push {
+                wheel.push(at, i as u32);
+                reference.push(at, i as u32);
             }
             prop_assert_eq!(wheel.len(), reference.heap.len());
         }
