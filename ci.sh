@@ -9,9 +9,15 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
+# Enforces clippy.toml (no host clock anywhere, no threads outside
+# experiments::runner, no BinaryHeap outside netsim::eventq) and the
+# root [workspace.lints] (unsafe_code, missing_docs, a reason on every
+# #[allow]), which every member inherits.
 cargo clippy --all-targets -- -D warnings
 
 echo "==> gfw-lint"
+# What rustc and clippy cannot see: budgets, cross-crate constants,
+# manifests, call-graph taint, SAFETY comments, hot-path arithmetic.
 cargo run -q -p gfw-lint
 
 echo "==> cargo build --release --workspace"

@@ -8,12 +8,6 @@
 //! overlap (Fig 4), and the autonomous-system attribution table shared
 //! with the GFW model's prober fleet.
 
-// `deny` rather than `forbid`: the `simd` module carries the crate's
-// audited unsafe sites (see `[unsafe-budget]` in lint-baseline.toml);
-// everything else stays unsafe-free.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod asn;
 pub mod entropy;
 pub mod overlap;

@@ -9,7 +9,10 @@
 //! `entropy.rs`, so the floating-point summation order (and hence every
 //! entropy score and golden) is bit-identical on both paths.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`std::arch` kernels; every unsafe site is audited by U1"
+)]
 
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;

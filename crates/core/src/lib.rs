@@ -31,9 +31,6 @@
 //!    or by IP, gated on a "sensitivity" knob modelling §6's human
 //!    factor, with lazy unblocking.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod blocking;
 pub mod classifier;
 pub mod delay;

@@ -12,9 +12,6 @@
 //!   to a behaviour profile — keep a replay filter and give consistent
 //!   server reactions ("read forever on error").
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod brdgrd;
 pub mod shaping;
 

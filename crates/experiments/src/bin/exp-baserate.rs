@@ -72,6 +72,10 @@ fn engine_name(e: EngineMode) -> &'static str {
 }
 
 fn run_measure(engine: EngineMode, flows: usize) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time of the measured run, printed beside the seed-pure counters"
+    )]
     let started = std::time::Instant::now();
     let p = baserate::measure(engine, flows, BENCH_BASE_RATE, SEED);
     let wall = started.elapsed();
@@ -173,6 +177,10 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--quick") {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time of the measured run, printed beside the seed-pure counters"
+        )]
         let started = std::time::Instant::now();
         let p = baserate::measure(EngineMode::Hybrid, 5_000, BENCH_BASE_RATE, SEED);
         let wall = started.elapsed();

@@ -98,6 +98,10 @@ fn engine_name(e: EngineMode) -> &'static str {
 }
 
 fn run_measure(engine: EngineMode, flows: usize, cells: usize) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time of the measured run, printed beside the seed-pure counters"
+    )]
     let started = std::time::Instant::now();
     let m = scale::measure_cells(engine, flows, cells, SEED);
     let wall = started.elapsed();
@@ -180,6 +184,10 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(10_000);
         let engine = experiments::engine_mode();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time of the measured run, printed beside the seed-pure counters"
+        )]
         let started = std::time::Instant::now();
         let m = scale::measure_cells(engine, flows, QUICK_CELLS, SEED);
         let wall = started.elapsed();

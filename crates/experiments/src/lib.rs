@@ -28,9 +28,6 @@
 //! implements `Display` (printing the paper-vs-measured comparison) and
 //! carries assertable fields used by the crate tests.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod figures;
 pub mod report;
 pub mod runner;

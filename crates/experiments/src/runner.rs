@@ -1,7 +1,7 @@
 //! The deterministic parallel run engine.
 //!
-//! Every experiment in this crate is a pure function of its seed
-//! (gfw-lint rule D1), which makes the evaluation grid embarrassingly
+//! Every experiment in this crate is a pure function of its seed,
+//! which makes the evaluation grid embarrassingly
 //! parallel with **zero determinism risk**:
 //!
 //! * a [`Job`] is plain `Send` data (a spec) plus the computation that
@@ -17,8 +17,13 @@
 //! worker execute nested [`run_jobs`] calls inline, so fanning out
 //! across figures in `exp-all` never oversubscribes the machine.
 //!
-//! Thread primitives are permitted only in this module (gfw-lint rule
-//! T1); the simulation crates stay single-threaded.
+//! Thread primitives are permitted only in this module (`clippy.toml`
+//! bans them elsewhere); the simulation crates stay single-threaded.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the run engine is the one home of worker threads and of per-job wall-clock timing"
+)]
 
 use netsim::sim::SimStats;
 use std::cell::Cell;

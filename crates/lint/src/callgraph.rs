@@ -1,12 +1,11 @@
 //! The R1 determinism-taint engine: a name-based call graph.
 //!
-//! D1 bans nondeterminism *tokens* inside the simulation crates, but a
-//! sim can also lose determinism indirectly: a helper in `shadowsocks`
-//! or `sscrypto` that grabs `Instant::now`, or a sim-crate function
-//! that iterates a `HashMap`/`HashSet` in an output-ordering position.
-//! R1 closes that gap by building a per-workspace call graph over the
-//! crates the simulator can depend on and flagging nondeterminism
-//! *sources* in functions reachable from `impl Simulator` methods.
+//! `clippy.toml` bans the host clock in every crate, but a sim can also
+//! lose determinism through iteration order: a function the simulator
+//! reaches that walks a `HashMap`/`HashSet` in an output-ordering
+//! position. R1 builds a per-workspace call graph over the crates the
+//! simulator can depend on and flags such iteration in functions
+//! reachable from `impl Simulator` methods.
 //!
 //! The graph is deliberately name-based and over-approximate: a call
 //! edge exists from `f` to every function named `g` when `f`'s body
@@ -16,21 +15,14 @@
 //! path; an unreachable false edge at worst asks for an explicit
 //! `// gfwlint: allow(R1)` with a justification.
 //!
-//! Two source classes:
-//!
-//! 1. **Clock/entropy calls** (`SystemTime::now`, `Instant::now`,
-//!    `thread_rng`, `from_entropy`) in *non-sim* reachable crates
-//!    (`shadowsocks`, `sscrypto`, `analysis`). Inside sim crates D1
-//!    already reports these line-for-line, so R1 stays quiet there
-//!    rather than double-reporting.
-//! 2. **Unordered-map iteration** (`.iter()`, `.keys()`, `.values()`,
-//!    `.drain()`, `for … in &map`) over a `HashMap`/`HashSet`-typed
-//!    binding, in any reachable function, unless the line feeds an
-//!    order-insensitive sink (`.sum()`, `.count()`, `.min(`/`.max(`,
-//!    `.all(`/`.any(`, a `.sort*` call, `.collect::<BTree…>`, …).
-//!    Iteration order of std's hashed containers is seeded per-process,
-//!    so any ordering that leaks into simulator output breaks
-//!    bit-for-bit reproducibility.
+//! The source is **unordered-map iteration** (`.iter()`, `.keys()`,
+//! `.values()`, `.drain()`, `for … in &map`) over a
+//! `HashMap`/`HashSet`-typed binding, in any reachable function, unless
+//! the line feeds an order-insensitive sink (`.sum()`, `.count()`,
+//! `.min(`/`.max(`, `.all(`/`.any(`, a `.sort*` call,
+//! `.collect::<BTree…>`, …). Iteration order of std's hashed containers
+//! is seeded per-process, so any ordering that leaks into simulator
+//! output breaks bit-for-bit reproducibility.
 
 use crate::scan::{has_token, SourceFile};
 use crate::{AllowUse, Finding, Report, Workspace};
@@ -48,17 +40,6 @@ pub const R1_CRATES: &[&str] = &[
     "shadowsocks",
     "sscrypto",
     "analysis",
-];
-
-/// Crates where D1 already reports clock/entropy tokens line-by-line.
-const D1_COVERED: &[&str] = &["core", "netsim", "probesim", "trafficgen", "defense"];
-
-/// Clock / OS-entropy call tokens (the D1 set).
-const CLOCK_TOKENS: &[&str] = &[
-    "SystemTime::now",
-    "Instant::now",
-    "thread_rng",
-    "from_entropy",
 ];
 
 /// Method-call fragments that iterate a map/set.
@@ -111,16 +92,14 @@ struct FnNode {
     crate_name: String,
 }
 
-/// A nondeterminism source found inside a function body.
+/// A hash-ordered iteration found inside a function body.
 struct Source {
     /// Node that contains it.
     node: usize,
     /// 1-based line.
     line: usize,
-    /// What it is, for the message.
-    what: String,
-    /// True when D1 already reports this exact line (sim crates).
-    d1_covered: bool,
+    /// The hash-ordered binding it iterates.
+    name: String,
 }
 
 /// Run the R1 rule over the workspace.
@@ -211,28 +190,16 @@ pub fn r1_determinism_taint(ws: &Workspace, report: &mut Report) {
         let file = &ws.sources[&node.file];
         let f = &file.items.fns[node.fn_idx];
         let map_names = map_typed_names(file);
-        let d1_crate = D1_COVERED.contains(&node.crate_name.as_str());
         for line_no in f.line_start..=f.line_end.min(file.lines.len()) {
             let line = &file.lines[line_no - 1];
             if line.in_test {
                 continue;
             }
-            for token in CLOCK_TOKENS {
-                if has_token(&line.code, token) {
-                    sources.push(Source {
-                        node: ni,
-                        line: line_no,
-                        what: format!("`{token}`"),
-                        d1_covered: d1_crate,
-                    });
-                }
-            }
             if let Some(name) = map_iteration(&line.code, &map_names) {
                 sources.push(Source {
                     node: ni,
                     line: line_no,
-                    what: format!("iteration over hash-ordered `{name}`"),
-                    d1_covered: false,
+                    name,
                 });
             }
         }
@@ -240,13 +207,10 @@ pub fn r1_determinism_taint(ws: &Workspace, report: &mut Report) {
 
     // ---- Report, deterministically ordered.
     sources.sort_by(|a, b| {
-        (&nodes[a.node].file, a.line, &a.what).cmp(&(&nodes[b.node].file, b.line, &b.what))
+        (&nodes[a.node].file, a.line, &a.name).cmp(&(&nodes[b.node].file, b.line, &b.name))
     });
-    sources.dedup_by(|a, b| a.node == b.node && a.line == b.line && a.what == b.what);
+    sources.dedup_by(|a, b| a.node == b.node && a.line == b.line && a.name == b.name);
     for s in sources {
-        if s.d1_covered {
-            continue; // D1 reports this line already
-        }
         let node = &nodes[s.node];
         let file = &ws.sources[&node.file];
         if file.lines[s.line - 1].allows.iter().any(|a| a == "R1") {
@@ -263,11 +227,11 @@ pub fn r1_determinism_taint(ws: &Workspace, report: &mut Report) {
             file: node.file.clone(),
             line: s.line,
             message: format!(
-                "{} in a function reachable from the simulator ({chain}): \
-                 nondeterminism here breaks bit-for-bit reproducibility; thread the \
-                 seeded RNG / sim clock through, use a BTree container, or justify \
-                 with `// gfwlint: allow(R1)`",
-                s.what
+                "iteration over hash-ordered `{}` in a function reachable from the \
+                 simulator ({chain}): hash order breaks bit-for-bit reproducibility; \
+                 use a BTree container, sort first, or justify with \
+                 `// gfwlint: allow(R1)`",
+                s.name
             ),
         });
     }
@@ -305,7 +269,10 @@ fn chain_to(_nodes: &[FnNode], names: &[String], parent: &[Option<usize>], node:
 /// Extract call-head names from one line of stripped code. Returns a
 /// closure-based resolver so the (name → nodes) map lookup stays in one
 /// place.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "a boxed resolver per call head; a type alias would be used once"
+)]
 fn called_names<'a>(
     code: &'a str,
 ) -> Vec<(

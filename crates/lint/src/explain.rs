@@ -3,7 +3,7 @@
 
 /// One catalogue entry.
 pub struct RuleDoc {
-    /// Rule ID (`D1`, …).
+    /// Rule ID (`P1`, …).
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -15,27 +15,6 @@ pub struct RuleDoc {
 
 /// Every rule, in the order they run.
 pub const RULES: &[RuleDoc] = &[
-    RuleDoc {
-        id: "D1",
-        summary: "no wall-clock or OS-entropy calls in simulation crates",
-        rationale: "The paper's results replicate only if a simulation is a pure \
-                    function of its seed. `SystemTime::now`, `Instant::now`, \
-                    `thread_rng` and `from_entropy` smuggle host state into the \
-                    run, so probe timing and detector thresholds stop being \
-                    reproducible.",
-        escape: "`// gfwlint: allow(D1)` on the line, with a comment saying why \
-                 the value cannot affect simulated behaviour.",
-    },
-    RuleDoc {
-        id: "D2",
-        summary: "crate roots carry `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`",
-        rationale: "Workspace-wide defaults are enforced at every crate root so a \
-                    new crate cannot silently opt out. A crate with a non-zero \
-                    `[unsafe-budget]` entry may use `#![deny(unsafe_code)]` \
-                    instead of `forbid`, so audited `#[allow(unsafe_code)]` \
-                    islands stay possible (rule U1 audits them).",
-        escape: "`--fix` inserts the missing attributes mechanically.",
-    },
     RuleDoc {
         id: "P1",
         summary: "per-crate panic budget (ratchet-down)",
@@ -68,47 +47,32 @@ pub const RULES: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "H1",
-        summary: "member crates take dependencies via `workspace = true`",
+        summary: "member crates take dependencies and lints from the workspace",
         rationale: "Versions live only in the root `[workspace.dependencies]` \
                     (all path-vendored). A version slipping into a member \
-                    manifest is how an unvendored dependency sneaks in.",
-        escape: "`# gfwlint: allow(H1)` on the offending manifest line; `--fix` \
-                 rewrites deps the root already defines.",
-    },
-    RuleDoc {
-        id: "T1",
-        summary: "thread primitives only in `experiments::runner`",
-        rationale: "Each `Simulator` is single-threaded by contract (one seeded \
-                    RNG, one event queue, `Rc<RefCell>` taps). Parallelism means \
-                    whole simulators per worker in the runner — never threads \
-                    inside the sim.",
-        escape: "`// gfwlint: allow(T1)` with justification; moving the code \
-                 into `runner.rs` is almost always the real fix.",
-    },
-    RuleDoc {
-        id: "T2",
-        summary: "`BinaryHeap` only in `netsim::eventq`",
-        rationale: "The timer wheel is the workspace's one scheduling structure; \
-                    a heap reappearing elsewhere silently reintroduces O(log n) \
-                    comparison churn and a second ordering authority.",
-        escape: "`// gfwlint: allow(T2)`; test code is already exempt (the \
-                 differential oracle keeps a heap on purpose).",
+                    manifest is how an unvendored dependency sneaks in. \
+                    Every member also needs `[lints] workspace = true`, so a \
+                    new crate cannot silently drop `unsafe_code = \"forbid\"` \
+                    or `missing_docs`; only a crate with an `[unsafe-budget]` \
+                    entry may carry its own `[lints.*]` tables.",
+        escape: "`# gfwlint: allow(H1)` on the offending dependency line, or \
+                 write `name.workspace = true` when the root already defines it. \
+                 A member without `[lints] workspace = true` has no escape.",
     },
     RuleDoc {
         id: "R1",
-        summary: "determinism taint: no nondeterminism sources reachable from the Simulator",
-        rationale: "D1 is textual and per-crate; R1 walks a name-based call \
-                    graph from `impl Simulator` methods across every crate the \
-                    sim can reach (including `shadowsocks`, `sscrypto`, \
-                    `analysis`) and flags clock/entropy calls there, plus \
+        summary: "determinism taint: no hash-ordered iteration reachable from the Simulator",
+        rationale: "R1 walks a name-based call graph from `impl Simulator` \
+                    methods across every crate the sim can reach (including \
+                    `shadowsocks`, `sscrypto`, `analysis`) and flags \
                     `HashMap`/`HashSet` iteration whose order can leak into \
                     output. Hash iteration order is per-process-seeded, so one \
                     stray `.iter()` makes two identically-seeded runs diverge. \
                     The graph is name-based and over-approximate on purpose: \
                     dyn-dispatch never escapes it.",
         escape: "`// gfwlint: allow(R1)` on the source line, after convincing \
-                 yourself the order/value cannot reach simulator output; or \
-                 switch to a BTree container / the seeded sim RNG.",
+                 yourself the order cannot reach simulator output; or switch \
+                 to a BTree container, or sort before iterating.",
     },
     RuleDoc {
         id: "U1",
@@ -167,9 +131,7 @@ mod tests {
 
     #[test]
     fn every_rule_documented_and_found() {
-        for id in [
-            "D1", "D2", "P1", "A1", "C1", "H1", "T1", "T2", "R1", "U1", "W1",
-        ] {
+        for id in ["P1", "A1", "C1", "H1", "R1", "U1", "W1"] {
             let text = explain(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(text.contains(id));
             assert!(text.contains("Escape hatch"));
@@ -181,7 +143,7 @@ mod tests {
     #[test]
     fn index_lists_all() {
         let idx = index();
-        assert_eq!(RULES.len(), 11);
+        assert_eq!(RULES.len(), 7);
         for d in RULES {
             assert!(idx.contains(d.id));
         }

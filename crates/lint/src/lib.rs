@@ -9,37 +9,34 @@
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | `D1` | No wall-clock or OS-entropy calls (`SystemTime::now`, `Instant::now`, `thread_rng`, `from_entropy`) in the simulation crates (`core`, `netsim`, `probesim`, `trafficgen`, `defense`). Simulations must be a pure function of their seed. |
-//! | `D2` | Every crate root carries `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`. |
 //! | `P1` | Explicit panic sites (`unwrap()` / `expect(` / `panic!` / `unreachable!`) in the non-test code of `core`, `netsim`, `shadowsocks`, `sscrypto` and `trafficgen` stay within the checked-in budget (`lint-baseline.toml`), which only ratchets downward. |
 //! | `A1` | Heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`) in the non-test code of the crypto hot path (`sscrypto` and `shadowsocks::wire`) stay within the checked-in `[alloc-budget]` (`lint-baseline.toml`), which only ratchets downward — per-chunk allocations must not creep back into the codec. |
 //! | `C1` | The protocol constants agree across crates: the stream-IV and AEAD-salt lengths declared by `sscrypto::method::Method::iv_len` match the paper (8/12/16 and 16/24/32), the probe length sweep in `core::probe` covers them, and `shadowsocks::wire` derives its salt length from `Method::iv_len` instead of hardcoding one. |
-//! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true`; versions live only in the root `[workspace.dependencies]`. |
-//! | `T1` | Thread primitives (`std::thread`, `thread::spawn`/`scope`/`Builder`, `std::sync::mpsc`, `rayon`) appear only in `experiments::runner`; the simulation crates (`core`, `netsim`, `probesim`, `trafficgen`, `defense`, `shadowsocks`, `sscrypto`) and the rest of `experiments` stay single-threaded-deterministic. |
-//! | `T2` | `BinaryHeap` appears only in `netsim::eventq` (the timer wheel's far-future overflow store). Everything time-ordered routes through `netsim::eventq::EventQueue`; non-test code elsewhere in those same crates must not reintroduce a heap-based scheduler. |
-//! | `R1` | Determinism taint: no clock/entropy call or hash-ordered `HashMap`/`HashSet` iteration in any function reachable from an `impl Simulator` method, across every crate the sim can depend on (including `shadowsocks`, `sscrypto`, `analysis`). |
+//! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true` (versions live only in the root `[workspace.dependencies]`) and inherit the workspace lints with `[lints] workspace = true`; only a crate with an `[unsafe-budget]` entry may carry its own `[lints.*]` tables. |
+//! | `R1` | Determinism taint: no hash-ordered `HashMap`/`HashSet` iteration in any function reachable from an `impl Simulator` method, across every crate the sim can depend on (including `shadowsocks`, `sscrypto`, `analysis`). |
 //! | `U1` | Every non-test `unsafe` block/fn/impl carries an adjacent `// SAFETY:` comment, and per-crate unsafe-site counts stay within the `[unsafe-budget]` table of `lint-baseline.toml` (ratchet-down, like P1/A1). |
 //! | `W1` | In the hot-path modules (`sscrypto`, `netsim::eventq`, `gfw_core::passive`, `shadowsocks::wire`), bare `+`/`*`/`<<` (and their `=`-compounds) on integer state crossing a function boundary (params, `self` fields) must be `wrapping_*`/`checked_*`/`saturating_*` or carry an allow. |
 //!
+//! The toolchain enforces the rest: `clippy.toml` bans the host clock,
+//! threads outside `experiments::runner` and `BinaryHeap` outside
+//! `netsim::eventq`, and `[workspace.lints]` forbids `unsafe_code`,
+//! warns on `missing_docs` and asks every `#[allow]` for a reason.
+//!
 //! Individual findings can be suppressed with an inline escape —
-//! `// gfwlint: allow(D1)` on the offending line or alone on the line
+//! `// gfwlint: allow(P1)` on the offending line or alone on the line
 //! above (`# gfwlint: allow(H1)` in TOML). Escapes are counted and
 //! reported, never silent.
 //!
 //! The binary (`cargo run -p gfw-lint`) exits 0 when clean, 1 on
 //! findings, 2 on usage or I/O errors, and supports `--json` (machine
 //! output, with panic/alloc sites attributed to their enclosing
-//! function), `--fix` (mechanical repairs for D2/H1), `--bless`
-//! (regenerate the P1/A1/U1 baselines, downward only) and
-//! `--explain RULE` (print a rule's rationale and escape hatch).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! function), `--bless` (regenerate the P1/A1/U1 baselines, downward
+//! only) and `--explain RULE` (print a rule's rationale and escape
+//! hatch).
 
 pub mod baseline;
 pub mod callgraph;
 pub mod explain;
-pub mod fix;
 pub mod items;
 pub mod lex;
 pub mod report;
@@ -53,7 +50,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule ID (`D1`, `D2`, `P1`, `C1`, `H1`, `T1`, `T2`).
+    /// Rule ID (`P1`, `A1`, `C1`, `H1`, `R1`, `U1` or `W1`).
     pub rule: &'static str,
     /// File path relative to the workspace root.
     pub file: String,
@@ -240,14 +237,10 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         files_scanned: ws.sources.len(),
         ..Report::default()
     };
-    rules::d1_determinism(&ws, &mut report);
-    rules::d2_crate_attrs(&ws, &mut report);
     rules::p1_panic_budget(&ws, &mut report)?;
     rules::a1_alloc_budget(&ws, &mut report)?;
     rules::c1_protocol_constants(&ws, &mut report);
     rules::h1_workspace_deps(&ws, &mut report)?;
-    rules::t1_thread_isolation(&ws, &mut report);
-    rules::t2_heap_isolation(&ws, &mut report);
     callgraph::r1_determinism_taint(&ws, &mut report);
     rules::u1_unsafe_audit(&ws, &mut report)?;
     rules::w1_wrapping_audit(&ws, &mut report);

@@ -1,22 +1,18 @@
 //! `gfw-lint` command-line entry point.
 //!
 //! ```text
-//! gfw-lint [--root DIR] [--json] [--fix] [--bless] [--explain RULE]
+//! gfw-lint [--root DIR] [--json] [--bless] [--explain RULE]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use gfw_lint::{bless, explain, fix, report, run, Options};
+use gfw_lint::{bless, explain, report, run, Options};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: Option<PathBuf>,
     json: bool,
-    fix: bool,
     bless: bool,
     explain: Option<String>,
 }
@@ -25,7 +21,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         json: false,
-        fix: false,
         bless: false,
         explain: None,
     };
@@ -33,7 +28,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => args.json = true,
-            "--fix" => args.fix = true,
             "--bless" => args.bless = true,
             "--root" => {
                 let dir = it.next().ok_or("--root needs a directory argument")?;
@@ -48,18 +42,16 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "gfw-lint: workspace invariant checker\n\n\
-                     USAGE: gfw-lint [--root DIR] [--json] [--fix] [--bless] [--explain RULE]\n\n\
-                     Rules: D1 determinism, D2 crate attributes, P1 panic budget,\n\
-                     A1 allocation budget (crypto hot path), C1 protocol-constant\n\
-                     consistency, H1 workspace dependencies, T1 thread isolation\n\
-                     (threads only in experiments::runner), T2 heap isolation,\n\
-                     R1 determinism taint (call-graph reachability from the\n\
-                     Simulator), U1 unsafe/SAFETY audit, W1 wrapping-arithmetic\n\
-                     discipline on the hot path.\n\
+                     USAGE: gfw-lint [--root DIR] [--json] [--bless] [--explain RULE]\n\n\
+                     Rules: P1 panic budget, A1 allocation budget (crypto hot\n\
+                     path), C1 protocol-constant consistency, H1 workspace\n\
+                     dependencies and lints, R1 determinism taint (hash-ordered\n\
+                     iteration reachable from the Simulator), U1 unsafe/SAFETY\n\
+                     audit, W1 wrapping-arithmetic discipline on the hot path.\n\
+                     Clock, thread and heap bans live in clippy.toml.\n\
                      Suppress one finding with `// gfwlint: allow(RULE)`.\n\n\
                      --root DIR     lint this workspace (default: nearest enclosing workspace)\n\
                      --json         machine-readable output (incl. per-function budget sites)\n\
-                     --fix          apply mechanical fixes (D2 attributes, H1 rewrites)\n\
                      --bless        regenerate the P1/A1/U1 baselines (budgets only ratchet down)\n\
                      --explain RULE print a rule's rationale and escape hatch"
                 );
@@ -131,19 +123,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let opts = Options { root };
-    let result = if args.fix {
-        fix::fix(&opts).map(|(applied, report)| {
-            for a in &applied {
-                println!("fixed {}: {}", a.file, a.what);
-            }
-            report
-        })
-    } else {
-        run(&opts)
-    };
-
-    match result {
+    match run(&Options { root }) {
         Ok(rep) => {
             if args.json {
                 print!("{}", report::render_json(&rep));

@@ -168,14 +168,14 @@ mod tests {
     fn json_shape() {
         let mut report = Report::default();
         report.findings.push(Finding {
-            rule: "D1",
+            rule: "P1",
             file: "crates/core/src/x.rs".into(),
             line: 3,
             message: "bad \"thing\"".into(),
         });
         report.files_scanned = 7;
         let json = render_json(&report);
-        assert!(json.contains("\"rule\": \"D1\""));
+        assert!(json.contains("\"rule\": \"P1\""));
         assert!(json.contains("\"line\": 3"));
         assert!(json.contains("\\\"thing\\\""));
         assert!(json.contains("\"clean\": false"));

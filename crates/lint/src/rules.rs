@@ -14,20 +14,9 @@ use crate::scan::{has_token, SourceFile};
 use crate::{AllowUse, Finding, Report, Site, Workspace};
 use std::collections::BTreeMap;
 
-/// Crates whose behaviour must be a pure function of the seed (D1).
-pub const SIM_CRATES: &[&str] = &["core", "netsim", "probesim", "trafficgen", "defense"];
-
 /// Crates with a panic-site budget (P1).
 pub const PANIC_BUDGET_CRATES: &[&str] =
     &["core", "netsim", "shadowsocks", "sscrypto", "trafficgen"];
-
-/// Wall-clock / OS-entropy tokens banned in simulation crates.
-const D1_TOKENS: &[&str] = &[
-    "SystemTime::now",
-    "Instant::now",
-    "thread_rng",
-    "from_entropy",
-];
 
 /// Explicit panic-site tokens counted by P1.
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
@@ -51,47 +40,6 @@ pub const ALLOC_BUDGET_AREAS: &[(&str, &str, &str)] = &[
 /// allocations the zero-copy codec work removed from the crypto hot
 /// path; the budget keeps them from creeping back.
 const ALLOC_TOKENS: &[&str] = &[".to_vec()", "Vec::new()", ".clone()"];
-
-/// Crates that must stay single-threaded-deterministic (T1): the
-/// simulation stack never spawns threads or uses channel-based
-/// concurrency — all parallelism lives in `experiments::runner`.
-pub const SINGLE_THREADED_CRATES: &[&str] = &[
-    "core",
-    "netsim",
-    "probesim",
-    "trafficgen",
-    "defense",
-    "shadowsocks",
-    "sscrypto",
-];
-
-/// Threading primitives banned outside the run engine. `std::thread`
-/// also covers `thread::spawn`/`scope`/`Builder` via the path prefix;
-/// the bare forms are listed for `use`-renamed call sites.
-const T1_TOKENS: &[&str] = &[
-    "std::thread",
-    "thread::spawn",
-    "thread::scope",
-    "thread::Builder",
-    "std::sync::mpsc",
-    "rayon",
-];
-
-/// The one place threads are allowed: the experiment run engine. It
-/// gets its parallelism by building whole `Simulator`s per worker
-/// thread — the simulators themselves stay single-threaded, which is
-/// exactly the property T1 protects.
-const T1_EXEMPT: &str = "crates/experiments/src/runner.rs";
-
-/// The scheduling structure T2 bans. Both the simulator's event queue
-/// and the GFW scheduler replaced `BinaryHeap<Reverse<..>>` with the
-/// timer wheel; a heap reappearing on a hot path would silently undo
-/// that and reintroduce `O(log n)` comparison churn per event.
-const T2_TOKEN: &str = "BinaryHeap";
-
-/// The one place a heap survives: the timer wheel's far-future
-/// overflow store inside the event queue itself.
-const T2_EVENTQ: &str = "crates/netsim/src/eventq.rs";
 
 /// The paper's IV/salt length table (Fig 10 row groups): every
 /// `sscrypto::method::Method` variant and the byte length its
@@ -141,185 +89,6 @@ fn allowed(report: &mut Report, rule: &str, file: &SourceFile, idx: usize) -> bo
         true
     } else {
         false
-    }
-}
-
-/// D1: no wall-clock or OS-entropy calls in simulation crates.
-pub fn d1_determinism(ws: &Workspace, report: &mut Report) {
-    for crate_name in SIM_CRATES {
-        let prefix = format!("crates/{crate_name}/");
-        let rels: Vec<String> = ws.sources_under(&prefix).map(|f| f.rel.clone()).collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                for token in D1_TOKENS {
-                    if has_token(&line.code, token) {
-                        hits.push((idx, *token));
-                    }
-                }
-            }
-            for (idx, token) in hits {
-                if allowed(report, "D1", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "D1",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{token}` in simulation crate `{crate_name}`: simulations must \
-                         derive all time and randomness from the seeded simulator state"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// T1: thread primitives only inside `experiments::runner`.
-///
-/// The simulators are pure functions of the seed precisely because
-/// each `Simulator` lives on one thread (`Rc<RefCell>` taps, one
-/// `StdRng`, one event queue). Any thread spawned inside a sim crate
-/// would either fail to compile (`!Send`) or, worse, introduce
-/// scheduling nondeterminism that D1 cannot see. The run engine gets
-/// its parallelism by building a whole `Simulator` per worker, so the
-/// only legitimate home for `std::thread` is `runner.rs` itself.
-pub fn t1_thread_isolation(ws: &Workspace, report: &mut Report) {
-    let mut prefixes: Vec<String> = SINGLE_THREADED_CRATES
-        .iter()
-        .map(|c| format!("crates/{c}/"))
-        .collect();
-    prefixes.push("crates/experiments/".to_string());
-    for prefix in prefixes {
-        let rels: Vec<String> = ws
-            .sources_under(&prefix)
-            .filter(|f| f.rel != T1_EXEMPT)
-            .map(|f| f.rel.clone())
-            .collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                // One finding per line: the tokens overlap by design
-                // (`std::thread::spawn` matches two of them).
-                if let Some(token) = T1_TOKENS.iter().find(|t| has_token(&line.code, t)) {
-                    hits.push((idx, *token));
-                }
-            }
-            for (idx, token) in hits {
-                if allowed(report, "T1", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "T1",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{token}` outside `experiments::runner`: simulation code is \
-                         single-threaded by contract; declare parallel work as runner \
-                         jobs instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// T2: `BinaryHeap` only inside `netsim::eventq`.
-///
-/// The hierarchical timer wheel in `netsim::eventq` is the workspace's
-/// one scheduling structure; everything time-ordered (simulator events,
-/// GFW probe orders) routes through `EventQueue`. Non-test code in the
-/// single-threaded crates and `experiments` must not grow a new heap.
-/// Test code is exempt: the differential property test keeps a
-/// `BinaryHeap` reference on purpose, as the oracle the wheel is
-/// checked against.
-pub fn t2_heap_isolation(ws: &Workspace, report: &mut Report) {
-    let mut prefixes: Vec<String> = SINGLE_THREADED_CRATES
-        .iter()
-        .map(|c| format!("crates/{c}/"))
-        .collect();
-    prefixes.push("crates/experiments/".to_string());
-    for prefix in prefixes {
-        let rels: Vec<String> = ws
-            .sources_under(&prefix)
-            .filter(|f| f.rel != T2_EVENTQ && !f.rel.contains("/tests/"))
-            .map(|f| f.rel.clone())
-            .collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let mut hits = Vec::new();
-            for (idx, line) in file.lines.iter().enumerate() {
-                if !line.in_test && has_token(&line.code, T2_TOKEN) {
-                    hits.push(idx);
-                }
-            }
-            for idx in hits {
-                if allowed(report, "T2", &ws.sources[&rel], idx) {
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "T2",
-                    file: rel.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{T2_TOKEN}` outside `netsim::eventq`: the timer wheel is the \
-                         workspace's one scheduling structure; queue time-ordered work \
-                         through `netsim::eventq::EventQueue` instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// D2: every crate root file carries both lint attributes.
-///
-/// A crate with a non-zero `[unsafe-budget]` entry cannot use
-/// `#![forbid(unsafe_code)]` (forbid rejects item-level overrides), so
-/// for those crates `#![deny(unsafe_code)]` satisfies the rule — the
-/// audited islands then go through `#[allow(unsafe_code)]` and rule U1.
-pub fn d2_crate_attrs(ws: &Workspace, report: &mut Report) {
-    let unsafe_budgets = Baseline::load(&ws.root)
-        .ok()
-        .flatten()
-        .map(|b| b.unsafe_budgets)
-        .unwrap_or_default();
-    let mut roots: Vec<(String, String)> = Vec::new(); // (crate label, root file rel)
-    if ws.sources.contains_key("src/lib.rs") {
-        roots.push(("workspace root".into(), "src/lib.rs".into()));
-    }
-    for c in &ws.crates {
-        for candidate in ["src/lib.rs", "src/main.rs"] {
-            let rel = format!("crates/{}/{candidate}", c.name);
-            if ws.sources.contains_key(&rel) {
-                roots.push((c.name.clone(), rel));
-                break;
-            }
-        }
-    }
-    for (label, rel) in roots {
-        let file = &ws.sources[&rel];
-        let budgeted_unsafe = unsafe_budgets.get(&label).copied().unwrap_or(0) > 0;
-        for attr in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
-            let mut present = file.lines.iter().any(|l| l.code.contains(attr));
-            if !present && attr.contains("unsafe_code") && budgeted_unsafe {
-                present = file
-                    .lines
-                    .iter()
-                    .any(|l| l.code.contains("#![deny(unsafe_code)]"));
-            }
-            if !present {
-                report.findings.push(Finding {
-                    rule: "D2",
-                    file: rel.clone(),
-                    line: 1,
-                    message: format!("crate `{label}` is missing `{attr}` (fixable with --fix)"),
-                });
-            }
-        }
     }
 }
 
@@ -726,26 +495,71 @@ pub fn c1_protocol_constants(ws: &Workspace, report: &mut Report) {
     }
 }
 
-/// H1: member Cargo.toml dependencies must all be `workspace = true`.
+/// H1: member Cargo.toml dependencies must all be `workspace = true`,
+/// and every member inherits the workspace lints.
 pub fn h1_workspace_deps(ws: &Workspace, report: &mut Report) -> Result<(), String> {
-    let mut manifests: Vec<(String, std::path::PathBuf)> = Vec::new();
     let root_manifest = ws.root.join("Cargo.toml");
     if root_manifest.is_file() {
-        manifests.push(("Cargo.toml".to_string(), root_manifest));
+        let text = read_manifest(&root_manifest, report)?;
+        h1_check_manifest("Cargo.toml", &text, report);
     }
+    let unsafe_budgets = Baseline::load(&ws.root)?
+        .map(|b| b.unsafe_budgets)
+        .unwrap_or_default();
     for c in &ws.crates {
-        manifests.push((
-            format!("crates/{}/Cargo.toml", c.name),
-            c.path.join("Cargo.toml"),
-        ));
-    }
-    for (rel, path) in manifests {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        report.files_scanned += 1;
+        let rel = format!("crates/{}/Cargo.toml", c.name);
+        let text = read_manifest(&c.path.join("Cargo.toml"), report)?;
         h1_check_manifest(&rel, &text, report);
+        h1_check_lints(&rel, &text, unsafe_budgets.contains_key(&c.name), report);
     }
     Ok(())
+}
+
+fn read_manifest(path: &std::path::Path, report: &mut Report) -> Result<String, String> {
+    report.files_scanned += 1;
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Check that a member manifest opts into the workspace lints with
+/// `[lints] workspace = true`. Only a crate with an `[unsafe-budget]`
+/// entry may carry its own `[lints.*]` tables, to relax `unsafe_code`
+/// from `forbid` to `deny` for its audited islands.
+fn h1_check_lints(rel: &str, text: &str, unsafe_budgeted: bool, report: &mut Report) {
+    let mut section = "";
+    let mut own_table = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            section = line.trim_matches(['[', ']']);
+            let is_lints = section == "lints" || section.starts_with("lints.");
+            if is_lints && own_table.is_none() {
+                own_table = Some(idx + 1);
+            }
+        } else if section == "lints" && line.replace(' ', "") == "workspace=true" {
+            return;
+        }
+    }
+    let (line, message) = match own_table {
+        None => (
+            0,
+            "no `[lints] workspace = true`: every member inherits the workspace lints \
+             (`unsafe_code`, `missing_docs`, `allow_attributes_without_reason`)"
+                .to_string(),
+        ),
+        Some(_) if unsafe_budgeted => return,
+        Some(line) => (
+            line,
+            "`[lints]` does not say `workspace = true`; only a crate with an \
+             [unsafe-budget] entry may replace the workspace lints"
+                .to_string(),
+        ),
+    };
+    report.findings.push(Finding {
+        rule: "H1",
+        file: rel.to_string(),
+        line,
+        message,
+    });
 }
 
 /// Check one manifest's dependency sections.

@@ -5,12 +5,12 @@
 
 pub mod probe;
 
-/// Test-rig glue, deliberately exempted from the determinism rule.
-pub fn wall_clock_note() -> std::time::Instant {
-    std::time::Instant::now() // gfwlint: allow(D1)
+/// Start-up glue, deliberately exempted from the panic budget.
+pub fn config_note() -> u32 {
+    "7".parse().unwrap() // gfwlint: allow(P1)
 }
 
-/// Strings and comments never trip D1: "thread_rng" / Instant::now.
+/// Strings and comments never trip a token rule: ".unwrap()" / panic!.
 pub fn doc_only() -> &'static str {
-    "SystemTime::now is fine inside a string"
+    "x.unwrap() is fine inside a string"
 }

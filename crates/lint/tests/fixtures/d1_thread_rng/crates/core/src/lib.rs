@@ -1,6 +1,3 @@
-//! Fixture sim crate whose scheduler reaches for ambient randomness.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Fixture sim crate whose scheduler reads the host clock.
 
 pub mod scheduler;

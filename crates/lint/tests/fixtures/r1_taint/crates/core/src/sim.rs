@@ -15,17 +15,17 @@ impl Simulator {
         for (id, bytes) in self.flows.iter() {
             record(*id, *bytes);
         }
-        total + stamp_ms()
+        total + session_key()
     }
 }
 
 /// Record one flow observation in the trace.
 fn record(id: u32, bytes: u64) {
     let _ = (id, bytes);
-    let _ = trace_ms();
+    let _ = trace_keys();
 }
 
-/// Helper that launders wall-clock time through a non-sim crate.
-fn stamp_ms() -> u64 {
-    now_ms()
+/// Helper that launders hash order through a non-sim crate.
+fn session_key() -> u64 {
+    first_key()
 }

@@ -1,17 +1,19 @@
-//! Fixture crypto crate with a wall-clock helper (reachable -> R1).
+//! Fixture crypto crate with a hash-ordered helper (reachable -> R1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Milliseconds since the epoch — nondeterministic.
-pub fn now_ms() -> u64 {
-    let t = std::time::SystemTime::now();
-    t.duration_since(std::time::UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
+use std::collections::HashMap;
+
+/// The first key a fresh cache yields: hash order, so nondeterministic.
+pub fn first_key() -> u64 {
+    let keys: HashMap<u64, u8> = HashMap::new();
+    keys.keys().next().copied().unwrap_or(0)
 }
 
-/// Diagnostic-only timer, waived with a justification.
-pub fn trace_ms() -> u64 {
+/// Diagnostic-only dump, waived with a justification.
+pub fn trace_keys() -> usize {
+    let keys: HashMap<u64, u8> = HashMap::new();
     // gfwlint: allow(R1) -- diagnostic trace only, never in sim output
-    let t = std::time::Instant::now();
-    t.elapsed().as_millis() as u64
+    keys.keys().map(|k| *k as usize).next().unwrap_or(0)
 }

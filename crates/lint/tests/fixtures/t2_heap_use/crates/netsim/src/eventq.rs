@@ -1,5 +1,7 @@
 //! Fixture event queue — the one file where a heap is allowed.
 
+#![expect(clippy::disallowed_types, reason = "the timer wheel's far-future overflow store")]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -1,9 +1,9 @@
-//! Fixture scheduler built on a heap — T2 forbids this outside eventq.
+//! Fixture scheduler built on a heap, which `clippy.toml` bans here.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A comparison-ordered scheduler (forbidden here).
+/// A comparison-ordered scheduler (banned here).
 #[derive(Default)]
 pub struct Sched {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -17,6 +17,7 @@ impl Sched {
 }
 
 /// An explicitly waived diagnostic helper.
+#[expect(clippy::disallowed_types, reason = "diagnostic only, never schedules")]
 pub fn waived_depth() -> usize {
-    std::collections::BinaryHeap::<u32>::new().len() // gfwlint: allow(T2)
+    std::collections::BinaryHeap::<u32>::new().len()
 }

@@ -41,6 +41,11 @@
 //! pacing and month-scale experiment horizons. The hierarchy keeps
 //! near events O(1) without degrading when a far horizon exists.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the overflow store behind the wheel is the one sanctioned heap"
+)]
+
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

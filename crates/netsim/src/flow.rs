@@ -295,7 +295,10 @@ impl FluidState {
     /// Promote a transfer's remainder into the fluid model. The caller
     /// guarantees `remaining > 0`, a promotable link, and that `conn`
     /// is not already fluid. Returns the link's rescheduling directive.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "called once per promotion with the caller's loose per-transfer state"
+    )]
     pub fn promote(
         &mut self,
         now: SimTime,

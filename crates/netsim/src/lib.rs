@@ -77,9 +77,6 @@
 //! sim.run();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod app;
 pub mod capture;
 pub mod conn;

@@ -491,7 +491,10 @@ impl Simulator {
     }
 
     /// Build and transmit one packet on `conn`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per TCP header field of the emitted packet"
+    )]
     fn emit(
         &mut self,
         conn: ConnId,

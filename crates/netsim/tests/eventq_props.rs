@@ -17,6 +17,11 @@
 //!   overflow-to-wheel moves also run near a far cursor (an absolute
 //!   push there is clamped into the ready batch).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the heap is the reference oracle the wheel is checked against"
+)]
+
 use netsim::eventq::EventQueue;
 use netsim::time::SimTime;
 use proptest::prelude::*;

@@ -15,9 +15,6 @@
 //! implementation+version guess — everything §5.2.2 says the GFW can
 //! learn.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod attacks;
 pub mod infer;
 pub mod matrix;

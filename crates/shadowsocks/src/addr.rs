@@ -96,35 +96,31 @@ pub fn parse_spec(buf: &[u8], mask_type: bool) -> ParseOutcome {
     };
     let atyp = if mask_type { atyp_raw & 0x0F } else { atyp_raw };
     match atyp {
-        ATYP_IPV4 => {
-            if buf.len() < 7 {
-                return ParseOutcome::NeedMore;
+        ATYP_IPV4 => match buf.first_chunk::<7>() {
+            Some([_, ip @ .., p0, p1]) => {
+                ParseOutcome::Complete(TargetAddr::Ipv4(*ip, u16::from_be_bytes([*p0, *p1])), 7)
             }
-            let ip: [u8; 4] = buf[1..5].try_into().unwrap();
-            let port = u16::from_be_bytes(buf[5..7].try_into().unwrap());
-            ParseOutcome::Complete(TargetAddr::Ipv4(ip, port), 7)
-        }
+            None => ParseOutcome::NeedMore,
+        },
         ATYP_HOST => {
-            if buf.len() < 2 {
+            let [_, len, rest @ ..] = buf else {
                 return ParseOutcome::NeedMore;
+            };
+            let len = usize::from(*len);
+            match (rest.get(..len), rest.get(len..)) {
+                (Some(name), Some([p0, p1, ..])) => ParseOutcome::Complete(
+                    TargetAddr::Hostname(name.to_vec(), u16::from_be_bytes([*p0, *p1])),
+                    2 + len + 2,
+                ),
+                _ => ParseOutcome::NeedMore,
             }
-            let len = buf[1] as usize;
-            let total = 2 + len + 2;
-            if buf.len() < total {
-                return ParseOutcome::NeedMore;
-            }
-            let name = buf[2..2 + len].to_vec();
-            let port = u16::from_be_bytes(buf[2 + len..total].try_into().unwrap());
-            ParseOutcome::Complete(TargetAddr::Hostname(name, port), total)
         }
-        ATYP_IPV6 => {
-            if buf.len() < 19 {
-                return ParseOutcome::NeedMore;
+        ATYP_IPV6 => match buf.first_chunk::<19>() {
+            Some([_, ip @ .., p0, p1]) => {
+                ParseOutcome::Complete(TargetAddr::Ipv6(*ip, u16::from_be_bytes([*p0, *p1])), 19)
             }
-            let ip: [u8; 16] = buf[1..17].try_into().unwrap();
-            let port = u16::from_be_bytes(buf[17..19].try_into().unwrap());
-            ParseOutcome::Complete(TargetAddr::Ipv6(ip, port), 19)
-        }
+            None => ParseOutcome::NeedMore,
+        },
         other => ParseOutcome::InvalidType(other),
     }
 }

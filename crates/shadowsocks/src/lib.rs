@@ -22,9 +22,6 @@
 //! The paper's threat model lives in the `gfw-core` crate; this crate is
 //! the *defender* side of the reproduction.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod addr;
 pub mod apps;
 pub mod bloom;

@@ -29,7 +29,7 @@ pub enum ErrorReaction {
 
 /// Shadowsocks-libev versions studied by the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variant names are the release versions")]
 pub enum LibevVersion {
     V3_0_8,
     V3_1_3,
@@ -40,7 +40,7 @@ pub enum LibevVersion {
 
 /// OutlineVPN (outline-ss-server) versions studied by the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variant names are the release versions")]
 pub enum OutlineVersion {
     V1_0_6,
     V1_0_7,

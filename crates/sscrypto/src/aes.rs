@@ -175,7 +175,7 @@ impl Aes {
     }
 
     /// Encrypt a single 16-byte block in place.
-    #[allow(unsafe_code)] // audited dispatch into `crate::x86` (U1)
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if !self.rk_bytes.is_empty() {
@@ -189,7 +189,7 @@ impl Aes {
 
     /// Encrypt four contiguous 16-byte blocks in place — the CTR/GCM
     /// batch shape, pipelined on the AES-NI path.
-    #[allow(unsafe_code)] // audited dispatch into `crate::x86` (U1)
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
     pub fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
         #[cfg(target_arch = "x86_64")]
         if !self.rk_bytes.is_empty() {
@@ -257,7 +257,7 @@ impl Aes {
 /// schedule is key-setup-time, not hot, and `hw_schedule_matches_scalar`
 /// pins all three sizes to the same round keys.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // audited dispatch into `crate::x86` (U1)
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
 fn hw_round_keys(key: &[u8], words: &[[u32; 4]]) -> Vec<[u8; 16]> {
     match key.len() {
         16 => {

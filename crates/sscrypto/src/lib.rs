@@ -38,12 +38,6 @@
 //! Constant-time operation and side-channel resistance are non-goals:
 //! these primitives feed a censorship *simulator*, not production traffic.
 
-// `deny` rather than `forbid`: the `x86` module carries the crate's
-// audited unsafe sites (see `[unsafe-budget]` in lint-baseline.toml);
-// everything else stays unsafe-free.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod aead;
 pub mod aes;
 pub mod cfb;

@@ -25,7 +25,7 @@ pub enum Kind {
 
 /// A Shadowsocks cipher method.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variant names are the methods' wire names")]
 pub enum Method {
     // Stream methods.
     Aes128Ctr,

@@ -14,7 +14,10 @@
 //! outputs are fixed-size Rust references, and all loads/stores are
 //! unaligned (`loadu`/`storeu`).
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`std::arch` kernels; every unsafe site is audited by U1"
+)]
 
 use core::arch::x86_64::*;
 

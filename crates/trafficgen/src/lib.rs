@@ -13,9 +13,6 @@
 //! This crate builds all of those, both as pure payload generators and
 //! as `netsim` driver applications.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod drivers;
 pub mod mix;
 pub mod payload;

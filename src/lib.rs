@@ -50,9 +50,6 @@
 //! evaluations, and the `exp-*` binaries in the `experiments` crate for
 //! the per-table/figure reports.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use analysis;
 pub use defense;
 pub use experiments;
