@@ -42,14 +42,17 @@ echo "==> exp-baserate --quick smoke"
 # GFW under the hybrid engine; every flow must be inspected.
 ./target/release/exp-baserate --quick > /dev/null
 
-echo "==> differential properties (crypto fast paths, event queue)"
+echo "==> differential properties (crypto fast paths, event queue, bulk bytes)"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the
 # AES-NI/CLMUL/SIMD hardware paths must stay byte-identical to the
 # scalar reference paths, and the timer wheel must pop exactly what a
-# BinaryHeap reference pops.
+# BinaryHeap reference pops. Bulk segments carry a range, not bytes:
+# the bytes synthesized when one is read must equal `fill_bulk` at
+# its stream offset, under both engines and across a demotion flush.
 cargo test -q -p sscrypto --test crypto_props
 cargo test -q -p shadowsocks --test wire_props
 cargo test -q --release -p netsim --test eventq_props
+cargo test -q --release -p netsim --test flow_props
 
 echo "==> forced-scalar crypto/entropy suites (GFWSIM_NO_HWCRYPTO=1)"
 # The scalar oracles are shipping code, not test fixtures: the full

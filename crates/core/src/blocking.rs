@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use netsim::conn::ConnId;
-    use netsim::packet::TcpFlags;
+    use netsim::packet::{Payload, TcpFlags};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -166,7 +166,7 @@ mod tests {
             ttl: 64,
             ip_id: 0,
             tsval: Some(0),
-            payload: Bytes::from_static(b"x"),
+            payload: Payload::Bytes(Bytes::from_static(b"x")),
             conn: ConnId(0),
             retx: false,
         }

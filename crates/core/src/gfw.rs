@@ -220,9 +220,11 @@ impl Tap for GfwTap {
             return TapVerdict::Pass;
         }
         // 4. First data-carrying packet of a connection: passive stage.
-        // One `features` call scores length and entropy together.
+        // One `features` call scores length and entropy together; a
+        // bulk segment's bytes are synthesized here, once.
         if pkt.has_payload() {
-            let feats = st.passive.features(&pkt.payload);
+            let payload = pkt.payload.bytes();
+            let feats = st.passive.features(&payload);
             st.conn_track.insert(pkt.conn, ConnTrack::SeenData);
             st.inspected += 1;
             let server = pkt.dst;
@@ -249,7 +251,7 @@ impl Tap for GfwTap {
                 let count = st.stored_by_server.entry(server).or_insert(0);
                 *count = count.wrapping_add(1);
                 let GfwState { scheduler, rng, .. } = &mut *st;
-                scheduler.on_stored_payload(ctx.now, server, &pkt.payload, rng);
+                scheduler.on_stored_payload(ctx.now, server, &payload, rng);
                 if let Some(due) = st.arm_orders() {
                     ctx.wake_app(st.controller, due, TOKEN_ORDERS);
                 }

@@ -11,10 +11,11 @@ use gfw_core::{Gfw, GfwConfig};
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::capture::Capture;
 use netsim::conn::{ConnId, TcpTuning};
+use netsim::flow::fill_bulk;
 use netsim::host::HostConfig;
-use netsim::packet::Ipv4;
+use netsim::packet::{Ipv4, Payload};
 use netsim::time::{Duration, SimTime};
-use netsim::{SimConfig, Simulator};
+use netsim::{EngineMode, SimConfig, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shadowsocks::apps::SsServerApp;
@@ -23,6 +24,7 @@ use sscrypto::method::Method;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use trafficgen::drivers::{BulkTransferClient, Sample};
 
 /// Drives genuine Shadowsocks connections: one fresh session per
 /// connection, a single first packet each (plenty to trigger the GFW).
@@ -99,7 +101,7 @@ fn build(profile: Profile, method: Method, sensitivity: f64, seed: u64) -> Setup
     impl App for Web {
         fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
             if let AppEvent::Data { conn, data } = ev {
-                ctx.send(conn, data.to_vec());
+                ctx.send(conn, data.bytes().into_owned());
             }
         }
     }
@@ -389,4 +391,102 @@ fn plaintext_traffic_is_not_probed() {
         st.probes().iter().all(|p| p.server.0 != http_server_ip),
         "HTTP server must not be probed"
     );
+}
+
+#[test]
+fn tap_scores_bulk_first_segments_under_both_engines() {
+    // No golden run sends a bulk segment as a connection's first data
+    // packet, so this pins the tap's view of one: a bulk segment
+    // carries a range of the bulk stream, and the tap synthesizes its
+    // bytes to score and store them. Each connection is inspected
+    // once, and every stored payload is `fill_bulk(conn, 0)` cut to the
+    // segment's length, as the R1 (identical) and R2 (byte 0 changed)
+    // replays on the wire show.
+    for engine in [EngineMode::Packet, EngineMode::Hybrid] {
+        let config = SimConfig {
+            engine,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(config, 19);
+        let mut gfw_config = GfwConfig::default();
+        // Store most in-band payloads, and never block the sink, so
+        // replays are plentiful and every probe reaches it.
+        gfw_config.passive.scale = 0.01;
+        gfw_config.blocking.sensitivity = 0.0;
+        let handle = Gfw::install(&mut sim, gfw_config, 19 ^ 0xBEEF);
+        let sink_ip = sim.add_host(HostConfig::outside("bulk-sink"));
+        let client_ip = sim.add_host(HostConfig::china("bulk-client"));
+        let cap = sim.add_capture(Capture::with_filter(move |p| {
+            p.dst.0 == sink_ip && p.has_payload()
+        }));
+        struct Sink;
+        impl App for Sink {
+            fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
+                if let AppEvent::PeerFin { conn } = ev {
+                    ctx.fin(conn);
+                }
+            }
+        }
+        let sink = sim.add_app(Box::new(Sink));
+        sim.listen((sink_ip, 443), sink);
+        // One-segment transfers of an attractive length (≡ 2 mod 16,
+        // in the 384–687 band), and large ones whose tail the hybrid
+        // engine promotes.
+        let small = BulkTransferClient::new(Sample::Fixed(402.0));
+        let large = BulkTransferClient::new(Sample::Fixed(262_144.0));
+        let small = sim.add_app(Box::new(small));
+        let large = sim.add_app(Box::new(large));
+        let conns = 90u64;
+        for i in 0..conns {
+            sim.connect_at(
+                SimTime::ZERO + Duration::from_secs(i),
+                if i % 3 == 0 { large } else { small },
+                client_ip,
+                (sink_ip, 443),
+                TcpTuning::default(),
+            );
+        }
+        sim.run();
+        if engine == EngineMode::Hybrid {
+            assert!(sim.stats.flows_promoted > 0, "no transfer was promoted");
+        }
+
+        let st = handle.state.borrow();
+        assert_eq!(
+            st.verdict_counters().inspected,
+            conns,
+            "{engine:?}: each connection is inspected exactly once"
+        );
+        // First segments, keyed by their bytes after byte 0 (the byte
+        // an R2 replay changes).
+        let mut firsts: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        for p in sim.capture(cap).first_data_per_conn() {
+            if p.src.0 != client_ip {
+                continue;
+            }
+            let mut want = vec![0u8; p.payload.len()];
+            fill_bulk(&mut want, p.conn, 0);
+            assert_eq!(p.payload, Payload::Bytes(want.clone().into()));
+            firsts.insert(want[1..].to_vec(), want);
+        }
+        assert_eq!(firsts.len() as u64, conns);
+        let (mut r1, mut r2) = (0usize, 0usize);
+        for p in sim.capture(cap).data_packets() {
+            if p.src.0 == client_ip {
+                continue;
+            }
+            let probe = p.payload.bytes();
+            if let Some(first) = probe.get(1..).and_then(|tail| firsts.get(tail)) {
+                if probe[0] == first[0] {
+                    r1 += 1;
+                } else {
+                    r2 += 1;
+                }
+            }
+        }
+        let count = |kind: ProbeKind| st.probes().iter().filter(|p| p.kind == kind).count();
+        assert!(r1 > 0, "{engine:?}: no stored payload was replayed");
+        assert_eq!(r1, count(ProbeKind::R1), "{engine:?}: R1 replays");
+        assert_eq!(r2, count(ProbeKind::R2), "{engine:?}: R2 replays");
+    }
 }

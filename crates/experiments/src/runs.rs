@@ -170,7 +170,7 @@ struct EchoWeb;
 impl App for EchoWeb {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         if let AppEvent::Data { conn, data } = ev {
-            ctx.send(conn, data.to_vec());
+            ctx.send(conn, data.bytes().into_owned());
         }
     }
 }
@@ -187,7 +187,7 @@ pub struct SsWorld {
     pub client_ip: Ipv4,
     /// Driver app.
     pub driver: netsim::app::AppId,
-    /// Server-inbound capture.
+    /// Server-inbound capture of the probers' handshakes and data.
     pub cap: netsim::sim::CaptureId,
 }
 
@@ -210,9 +210,11 @@ pub fn build_ss_world(cfg: &SsRunConfig) -> SsWorld {
     let client_ip = sim.add_host(HostConfig::china("client"));
     let web_ip = sim.add_host(HostConfig::outside("website"));
 
-    // Capture only server-inbound handshakes and data (memory bound).
+    // Capture only server-inbound handshakes and data from the probers
+    // (memory bound): every reader keys on prober sources, so the
+    // trigger client's own packets are never stored.
     let cap = sim.add_capture(Capture::with_filter(move |p| {
-        p.dst.0 == server_ip && (p.flags.syn || p.has_payload())
+        p.dst.0 == server_ip && p.src.0 != client_ip && (p.flags.syn || p.has_payload())
     }));
 
     let web = sim.add_app(Box::new(EchoWeb));
@@ -403,12 +405,13 @@ pub fn sink_run(cfg: &SinkRunConfig) -> SinkRunResult {
         if analysis::asn::lookup(p.src.0).is_some() {
             continue;
         }
-        let e = analysis::shannon_entropy(&p.payload);
+        let payload = p.payload.bytes();
+        let e = analysis::shannon_entropy(&payload);
         triggers.push(TriggerObs {
-            len: p.payload.len(),
+            len: payload.len(),
             entropy: e,
         });
-        digest_entropy.insert(sscrypto::sha256::sha256(&p.payload), e);
+        digest_entropy.insert(sscrypto::sha256::sha256(&payload), e);
     }
     // Match identical replays back to their trigger's entropy; each
     // stored payload counts once (occurrence counts are dominated by
@@ -417,7 +420,7 @@ pub fn sink_run(cfg: &SinkRunConfig) -> SinkRunResult {
     let mut counted: std::collections::HashSet<[u8; 32]> = std::collections::HashSet::new();
     for p in capref.data_packets() {
         if analysis::asn::lookup(p.src.0).is_some() {
-            let digest = sscrypto::sha256::sha256(&p.payload);
+            let digest = sscrypto::sha256::sha256(&p.payload.bytes());
             if let Some(&e) = digest_entropy.get(&digest) {
                 if counted.insert(digest) {
                     replayed_entropy.push(e);

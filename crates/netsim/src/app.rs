@@ -6,10 +6,9 @@
 //! that keeps a single-owner, deterministic core.
 
 use crate::conn::{ConnId, TcpTuning};
-use crate::packet::{Ipv4, SocketAddr};
+use crate::packet::{Ipv4, Payload, SocketAddr};
 use crate::sim::SimStats;
 use crate::time::{Duration, SimTime};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 
 /// Opaque application identifier.
@@ -44,10 +43,13 @@ pub enum AppEvent {
     Data {
         /// Connection.
         conn: ConnId,
-        /// Segment payload: the delivered packet's own buffer, shared
-        /// rather than copied. Read it as a `&[u8]` through `Deref`;
-        /// `to_vec()` when an owned copy is needed (e.g. to echo it).
-        data: Bytes,
+        /// Segment payload: the delivered packet's own payload, moved
+        /// rather than copied. [`Payload::len`] is free; read the bytes
+        /// with [`Payload::bytes`], which borrows app-sent bytes and
+        /// synthesizes a bulk segment's on the call. Take
+        /// `bytes().into_owned()` when an owned copy is needed (e.g. to
+        /// echo it).
+        data: Payload,
     },
     /// Peer sent FIN.
     PeerFin {

@@ -102,7 +102,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Ipv4, SocketAddr, TcpFlags};
+    use crate::packet::{Ipv4, Payload, SocketAddr, TcpFlags};
     use crate::time::SimTime;
     use bytes::Bytes;
 
@@ -118,7 +118,7 @@ mod tests {
             ttl: 64,
             ip_id: 0,
             tsval: Some(0),
-            payload: Bytes::copy_from_slice(payload),
+            payload: Payload::Bytes(Bytes::copy_from_slice(payload)),
             conn: ConnId(conn),
             retx: false,
         }
@@ -147,8 +147,8 @@ mod tests {
         cap.observe(&mk((a, 3), (b, 2), TcpFlags::PSH_ACK, b"other", 2));
         let firsts = cap.first_data_per_conn();
         assert_eq!(firsts.len(), 2);
-        assert_eq!(&firsts[0].payload[..], b"first");
-        assert_eq!(&firsts[1].payload[..], b"other");
+        assert_eq!(&firsts[0].payload.bytes()[..], b"first");
+        assert_eq!(&firsts[1].payload.bytes()[..], b"other");
     }
 
     #[test]

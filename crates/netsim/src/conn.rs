@@ -372,7 +372,7 @@ mod tests {
             ttl: 64,
             ip_id: 0,
             tsval: Some(0),
-            payload: bytes::Bytes::from(vec![7u8; len]),
+            payload: crate::packet::Payload::Bytes(bytes::Bytes::from(vec![7u8; len])),
             conn: ConnId(1),
             retx: false,
         }

@@ -46,9 +46,10 @@
 //! impl App for Echo {
 //!     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
 //!         if let AppEvent::Data { conn, data } = ev {
-//!             // `data` shares the delivered packet's buffer; echoing it
-//!             // back needs an owned copy.
-//!             ctx.send(conn, data.to_vec());
+//!             // `data` is the delivered segment's payload; `bytes()`
+//!             // reads it (synthesizing a bulk segment's bytes), and
+//!             // echoing it back needs an owned copy.
+//!             ctx.send(conn, data.bytes().into_owned());
 //!         }
 //!     }
 //! }
@@ -59,7 +60,7 @@
 //!         match ev {
 //!             AppEvent::Connected { conn } => ctx.send(conn, b"ping".to_vec()),
 //!             AppEvent::Data { conn, data } => {
-//!                 assert_eq!(&data[..], b"ping");
+//!                 assert_eq!(&data.bytes()[..], b"ping");
 //!                 ctx.fin(conn);
 //!             }
 //!             _ => {}
@@ -96,6 +97,6 @@ pub use conn::{ConnId, TcpTuning};
 pub use flow::{EngineMode, LinkBandwidth};
 pub use host::{HostConfig, Region};
 pub use impair::{ImpairmentSpec, LinkImpairment};
-pub use packet::{Packet, SocketAddr, TcpFlags};
+pub use packet::{Packet, Payload, SocketAddr, TcpFlags};
 pub use sim::{SimConfig, Simulator};
 pub use time::{Duration, SimTime};

@@ -6,9 +6,11 @@
 //! (§3.4's prober-process side channel).
 
 use crate::conn::ConnId;
+use crate::flow::fill_bulk;
 use crate::time::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// IPv4 address. A thin newtype over the four octets so we control
 /// formatting and serde without pulling in `std::net` parsing semantics.
@@ -137,6 +139,80 @@ impl std::fmt::Display for TcpFlags {
     }
 }
 
+/// A segment's application payload: the bytes an app sent, or a range
+/// of a bulk transfer's stream that is synthesized only when read.
+///
+/// No detector reads a bulk byte past a connection's first data
+/// segment (DESIGN §6i), so a bulk segment carries where its bytes
+/// come from rather than the bytes. [`Payload::len`] and
+/// [`Payload::is_empty`] never synthesize; [`Payload::bytes`] does, on
+/// each call. Equality and `Debug` go by content, so a `Bulk` payload
+/// equals the `Bytes` payload it synthesizes to.
+#[derive(Clone)]
+pub enum Payload {
+    /// Bytes an app handed to [`crate::app::Ctx::send`].
+    Bytes(Bytes),
+    /// `len` bytes of [`fill_bulk`]'s stream for `conn`, starting at
+    /// stream position `offset` (positions wrap at `u64::MAX`).
+    Bulk {
+        /// Connection whose bulk stream this is.
+        conn: ConnId,
+        /// Stream position of the first byte.
+        offset: u64,
+        /// Number of bytes.
+        len: u32,
+    },
+}
+
+impl Payload {
+    /// Length in bytes, without synthesizing.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Bulk { len, .. } => *len as usize,
+        }
+    }
+
+    /// True if the payload carries no bytes, without synthesizing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The payload's bytes: borrowed for app bytes, synthesized on
+    /// this call for a bulk range.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match self {
+            Payload::Bytes(b) => Cow::Borrowed(b),
+            &Payload::Bulk { conn, offset, len } => {
+                let mut buf = vec![0; len as usize];
+                fill_bulk(&mut buf, conn, offset);
+                Cow::Owned(buf)
+            }
+        }
+    }
+}
+
+impl Default for Payload {
+    /// The empty payload (does not allocate).
+    fn default() -> Payload {
+        Payload::Bytes(Bytes::new())
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.len() == other.len() && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "b\"{}\"", self.bytes().escape_ascii())
+    }
+}
+
 /// A TCP/IPv4 packet on the simulated wire.
 #[derive(Clone, Debug)]
 pub struct Packet {
@@ -161,7 +237,7 @@ pub struct Packet {
     /// TCP timestamp option value (TSval); RST segments carry none.
     pub tsval: Option<u32>,
     /// Application payload.
-    pub payload: Bytes,
+    pub payload: Payload,
     /// Simulator connection this packet belongs to.
     pub conn: ConnId,
     /// True if this is a retransmission of an earlier segment (set by
@@ -196,5 +272,33 @@ mod tests {
     #[test]
     fn prefix16() {
         assert_eq!(Ipv4::new(202, 108, 181, 70).prefix16(), [202, 108]);
+    }
+
+    /// Every queued, captured and reordered segment is a `Packet`: a
+    /// fatter payload representation would cost memory on every one.
+    #[test]
+    fn packet_stays_within_80_bytes() {
+        assert_eq!(std::mem::size_of::<Payload>(), 24);
+        assert!(std::mem::size_of::<Packet>() <= 80);
+    }
+
+    #[test]
+    fn bulk_payload_reads_the_bulk_stream() {
+        let conn = ConnId(9);
+        let bulk = Payload::Bulk {
+            conn,
+            offset: 5,
+            len: 11,
+        };
+        let mut want = [0u8; 11];
+        fill_bulk(&mut want, conn, 5);
+        assert_eq!(bulk.len(), 11);
+        assert!(!bulk.is_empty());
+        assert_eq!(&bulk.bytes()[..], &want[..]);
+        let app = Payload::Bytes(Bytes::copy_from_slice(&want));
+        assert_eq!(bulk, app);
+        assert_eq!(format!("{bulk:?}"), format!("{app:?}"));
+        assert_ne!(bulk, Payload::default());
+        assert!(Payload::default().is_empty());
     }
 }

@@ -35,7 +35,7 @@ use crate::flow::{self, Completion, EngineMode, FluidState, LinkBandwidth, LinkI
 use crate::host::{Host, HostArena, HostConfig, Region};
 use crate::impair::{ImpairmentSpec, LinkImpairment};
 use crate::internet::{InternetModel, RemoteOutcome};
-use crate::packet::{Ipv4, Packet, SocketAddr, TcpFlags};
+use crate::packet::{Ipv4, Packet, Payload, SocketAddr, TcpFlags};
 use crate::tap::{Tap, TapCtx, Verdict};
 use crate::time::{Duration, SimTime};
 use bytes::Bytes;
@@ -116,8 +116,10 @@ enum Event {
     RemoteRefused {
         conn: ConnId,
     },
+    /// Boxed so a lost segment's timer, which only impaired links
+    /// schedule, does not widen every other event past a `Packet`.
     Retransmit {
-        pkt: Packet,
+        pkt: Box<Packet>,
         attempt: u32,
     },
     FluidAdvance {
@@ -223,10 +225,6 @@ pub struct Simulator {
     /// Scratch buffer for [`Simulator::handle_fluid_advance`]'s
     /// completions (same take/put-back discipline).
     completions: Vec<Completion>,
-    /// Scratch buffer for the synthesized bulk bytes that
-    /// [`Simulator::send_bulk`] hands to [`Simulator::do_send`] (same
-    /// discipline).
-    bulk: Vec<u8>,
     /// Aggregate counters.
     pub stats: SimStats,
 }
@@ -252,7 +250,6 @@ impl Simulator {
             rng: StdRng::seed_from_u64(seed),
             commands: Vec::new(),
             completions: Vec::new(),
-            bulk: Vec::new(),
             stats: SimStats::default(),
         }
     }
@@ -440,7 +437,7 @@ impl Simulator {
             }
             Event::SynTimeout { conn } => self.handle_syn_timeout(conn),
             Event::RemoteRefused { conn } => self.handle_remote_refused(conn),
-            Event::Retransmit { pkt, attempt } => self.handle_retransmit(pkt, attempt),
+            Event::Retransmit { pkt, attempt } => self.handle_retransmit(*pkt, attempt),
             Event::FluidAdvance { link, epoch } => self.handle_fluid_advance(link, epoch),
         }
         true
@@ -504,7 +501,7 @@ impl Simulator {
         seq: u32,
         ack: u32,
         window: u16,
-        payload: Bytes,
+        payload: Payload,
         extra_delay: Duration,
     ) {
         let (tuning, is_client_side, src_host) = match self.conns.get(conn) {
@@ -642,7 +639,7 @@ impl Simulator {
                 self.push(
                     at,
                     Event::Retransmit {
-                        pkt,
+                        pkt: Box::new(pkt),
                         attempt: attempt + 1,
                     },
                 );
@@ -716,7 +713,12 @@ impl Simulator {
 
     fn apply(&mut self, owner: AppId, cmd: Command) {
         match cmd {
-            Command::Send(conn, data) => self.do_send(owner, conn, &data),
+            Command::Send(conn, data) => {
+                self.do_send(owner, conn, data.len() as u64, |at, take| {
+                    let at = at as usize;
+                    Payload::Bytes(Bytes::copy_from_slice(&data[at..at + take as usize]))
+                })
+            }
             Command::Fin(conn) => self.do_fin(owner, conn),
             Command::Rst(conn) => self.do_rst(owner, conn),
             Command::Connect {
@@ -740,7 +742,17 @@ impl Simulator {
         c.server_app == Some(owner)
     }
 
-    fn do_send(&mut self, owner: AppId, conn: ConnId, data: &[u8]) {
+    /// Send `total` bytes on `conn` as data segments. `segment(at,
+    /// take)` describes the payload of the `take` bytes at offset `at`
+    /// of what is being sent, so app bytes and bulk ranges share this
+    /// one segmentation loop.
+    fn do_send(
+        &mut self,
+        owner: AppId,
+        conn: ConnId,
+        total: u64,
+        segment: impl Fn(u64, u32) -> Payload,
+    ) {
         if self.conns.get(conn).is_some_and(|c| c.fluid) {
             // A packet-fidelity send while the tail of an earlier
             // transfer is still fluid: demote first so the wire stream
@@ -750,7 +762,7 @@ impl Simulator {
         let Some(c) = self.conns.get(conn) else {
             return;
         };
-        if c.is_closed() || data.is_empty() {
+        if c.is_closed() || total == 0 {
             return;
         }
         let from_server = Self::is_server_side(c, owner);
@@ -778,12 +790,11 @@ impl Simulator {
         } else {
             c.server_seq
         };
-        let total = data.len();
-        let mut offset = 0usize;
+        let mut offset = 0u64;
         let mut i = 0u64;
         while offset < total {
-            let take = cap.min(total - offset);
-            let chunk = Bytes::copy_from_slice(&data[offset..offset + take]);
+            let take = (cap as u64).min(total - offset) as u32;
+            let chunk = segment(offset, take);
             // Small spacing between segments stands in for ACK pacing.
             let spacing = Duration::from_micros(10) * i;
             self.emit(
@@ -797,8 +808,8 @@ impl Simulator {
                 chunk,
                 spacing,
             );
-            seq = seq.wrapping_add(take as u32);
-            offset += take;
+            seq = seq.wrapping_add(take);
+            offset += u64::from(take);
             i += 1;
         }
         if let Some(c) = self.conns.get_mut(conn) {
@@ -848,7 +859,7 @@ impl Simulator {
             seq,
             ack,
             65535,
-            Bytes::new(),
+            Payload::default(),
             Duration::ZERO,
         );
     }
@@ -884,7 +895,7 @@ impl Simulator {
             seq,
             0,
             0,
-            Bytes::new(),
+            Payload::default(),
             Duration::ZERO,
         );
     }
@@ -966,14 +977,14 @@ impl Simulator {
     }
 
     /// Send `len` bytes of `conn`'s bulk stream, starting at stream
-    /// offset `offset`, at packet fidelity.
+    /// offset `offset`, at packet fidelity. Each segment describes its
+    /// range; its bytes are synthesized only if something reads them.
     fn send_bulk(&mut self, owner: AppId, conn: ConnId, offset: u64, len: u64) {
-        let mut buf = std::mem::take(&mut self.bulk);
-        // Every byte is overwritten below; `resize` only zeroes growth.
-        buf.resize(len as usize, 0);
-        flow::fill_bulk(&mut buf, conn, offset);
-        self.do_send(owner, conn, &buf);
-        self.bulk = buf;
+        self.do_send(owner, conn, len, |at, take| Payload::Bulk {
+            conn,
+            offset: offset.wrapping_add(at),
+            len: take,
+        });
     }
 
     /// Schedule the (epoch-guarded) next fluid completion check.
@@ -1137,7 +1148,7 @@ impl Simulator {
             isn,
             0,
             65535,
-            Bytes::new(),
+            Payload::default(),
             Duration::ZERO,
         );
 
@@ -1269,7 +1280,7 @@ impl Simulator {
                     cseq,
                     sack,
                     65535,
-                    Bytes::new(),
+                    Payload::default(),
                     Duration::ZERO,
                 );
                 self.dispatch(capp, AppEvent::Connected { conn });
@@ -1400,7 +1411,7 @@ impl Simulator {
                     sseq,
                     cack,
                     window,
-                    Bytes::new(),
+                    Payload::default(),
                     Duration::ZERO,
                 );
             }
@@ -1419,7 +1430,7 @@ impl Simulator {
                     0,
                     cack,
                     0,
-                    Bytes::new(),
+                    Payload::default(),
                     Duration::ZERO,
                 );
             }
@@ -1462,5 +1473,18 @@ impl Simulator {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every queue entry is as wide as the widest `Event` variant, so
+    /// one wider than a `Packet` would cost memory on every entry.
+    #[test]
+    fn an_event_is_no_wider_than_a_packet() {
+        assert_eq!(
+            std::mem::size_of::<super::Event>(),
+            std::mem::size_of::<crate::packet::Packet>()
+        );
     }
 }

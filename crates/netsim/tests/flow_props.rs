@@ -9,7 +9,10 @@
 //!    threshold, promoted transfers, and mixtures all conserve. Content
 //!    is pinned too: every data segment carries the bulk stream's bytes
 //!    (`fill_bulk`) at its true stream offset, under both engines and
-//!    across a demotion flush.
+//!    across a demotion flush. Those bytes are synthesized lazily: a
+//!    bulk segment is a `Payload::Bulk` range, and cutting any range,
+//!    anywhere in the stream, into segments and reading each one
+//!    rebuilds `fill_bulk`'s output.
 //! 2. **Promotion/demotion idempotence** — forcing mid-transfer
 //!    demotions (a packet-fidelity send while the tail is fluid) never
 //!    loses or duplicates bytes, and every transfer still completes
@@ -25,6 +28,7 @@ use netsim::capture::Capture;
 use netsim::conn::{ConnId, TcpTuning};
 use netsim::flow::{fill_bulk, Completion, FluidState, LinkBandwidth, LinkId};
 use netsim::host::HostConfig;
+use netsim::packet::Payload;
 use netsim::time::{Duration, SimTime};
 use netsim::{EngineMode, SimConfig, Simulator};
 use proptest::prelude::*;
@@ -104,7 +108,7 @@ impl App for CountingSink {
                     let mut want = vec![0u8; data.len()];
                     fill_bulk(&mut want, conn, *offset);
                     assert!(
-                        data[..] == want[..],
+                        data.bytes()[..] == want[..],
                         "{conn:?}: segment at offset {offset} is not the bulk stream"
                     );
                     *offset += data.len() as u64;
@@ -205,7 +209,7 @@ fn check_wire_content(cap: &Capture, sizes: &[u64]) {
         let mut want = vec![0u8; p.payload.len()];
         fill_bulk(&mut want, p.conn, offset);
         assert!(
-            p.payload[..] == want[..],
+            p.payload.bytes()[..] == want[..],
             "{:?}: wire segment at offset {offset} is not the bulk stream",
             p.conn
         );
@@ -267,6 +271,54 @@ proptest! {
         prop_assert_eq!(h.delivered, sizes.len() as u64);
         prop_assert_eq!(h.delivered_bytes, total);
         prop_assert!(h.stats.flows_demoted <= h.stats.flows_promoted);
+    }
+}
+
+/// Stream positions anywhere, with a third of cases within a few
+/// segments below `u64::MAX`, where a range wraps to position 0.
+fn position_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..20_000, (u64::MAX - 20_000)..=u64::MAX,]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Cutting `len` bytes of `conn`'s bulk stream at `offset` into
+    /// `Bulk` segments of at most `cap` bytes, as the simulator does,
+    /// and reading each one rebuilds `fill_bulk` over the whole range.
+    /// Each segment's `len()` is its synthesized length, and it equals
+    /// an app-bytes payload with the same content (and no other).
+    #[test]
+    fn lazy_bulk_segments_are_the_bulk_stream(
+        conn in any::<u64>(),
+        offset in position_strategy(),
+        len in 0u32..12_000,
+        cap in 1u32..1_600,
+    ) {
+        let conn = ConnId(conn);
+        let mut want = vec![0u8; len as usize];
+        fill_bulk(&mut want, conn, offset);
+        let mut got = Vec::with_capacity(want.len());
+        let mut at = 0u32;
+        while at < len {
+            let take = cap.min(len - at);
+            let seg = Payload::Bulk {
+                conn,
+                offset: offset.wrapping_add(u64::from(at)),
+                len: take,
+            };
+            let bytes = seg.bytes().into_owned();
+            prop_assert_eq!(seg.len(), bytes.len());
+            prop_assert_eq!(seg.len(), take as usize);
+            prop_assert!(!seg.is_empty());
+            let mut flipped = bytes.clone();
+            flipped[0] ^= 1;
+            prop_assert_eq!(&seg, &Payload::Bytes(bytes.clone().into()));
+            prop_assert_ne!(&seg, &Payload::Bytes(flipped.into()));
+            got.extend_from_slice(&bytes);
+            at += take;
+        }
+        prop_assert!(got == want, "segments do not rebuild the stream");
     }
 }
 

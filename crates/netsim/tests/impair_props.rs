@@ -36,7 +36,7 @@ impl App for Collector {
                 .borrow_mut()
                 .entry(conn)
                 .or_default()
-                .extend_from_slice(&data);
+                .extend_from_slice(&data.bytes());
         }
     }
 }

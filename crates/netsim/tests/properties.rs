@@ -26,7 +26,7 @@ impl App for Collector {
                 .borrow_mut()
                 .entry(conn)
                 .or_default()
-                .extend_from_slice(&data);
+                .extend_from_slice(&data.bytes());
         }
     }
 }

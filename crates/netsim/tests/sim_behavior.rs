@@ -17,7 +17,7 @@ struct EchoOnce;
 impl App for EchoOnce {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         if let AppEvent::Data { conn, data } = ev {
-            ctx.send(conn, data.to_vec());
+            ctx.send(conn, data.bytes().into_owned());
             ctx.fin(conn);
         }
     }

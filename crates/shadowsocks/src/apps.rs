@@ -133,12 +133,12 @@ impl App for SsServerApp {
             AppEvent::Data { conn, data } => {
                 if let Some(&id) = self.by_inbound.get(&conn) {
                     self.last_activity.insert(conn, ctx.now);
-                    let actions = self.engine.on_data(id, &data);
+                    let actions = self.engine.on_data(id, &data.bytes());
                     self.run_actions(conn, actions, ctx);
                 } else if let Some(&inbound) = self.inbound_of_outbound.get(&conn) {
                     if let Some(&id) = self.by_inbound.get(&inbound) {
                         self.last_activity.insert(inbound, ctx.now);
-                        let actions = self.engine.on_target_data(id, &data);
+                        let actions = self.engine.on_target_data(id, &data.bytes());
                         self.run_actions(inbound, actions, ctx);
                     }
                 }

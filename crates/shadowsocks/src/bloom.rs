@@ -52,8 +52,9 @@ impl Bloom {
     /// The two Kirsch–Mitzenmacher base hashes from one SHA-256.
     fn hashes(item: &[u8]) -> (u64, u64) {
         let d = sha256(item);
-        let h1 = u64::from_le_bytes(d[0..8].try_into().unwrap());
-        let h2 = u64::from_le_bytes(d[8..16].try_into().unwrap()) | 1;
+        let (words, _) = d.as_chunks::<8>();
+        let h1 = u64::from_le_bytes(words[0]);
+        let h2 = u64::from_le_bytes(words[1]) | 1;
         (h1, h2)
     }
 

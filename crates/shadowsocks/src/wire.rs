@@ -317,7 +317,9 @@ impl AeadDecryptor {
         loop {
             let avail = self.buf.len() - self.pos;
             match self.phase {
-                AeadPhase::Salt => unreachable!("salt handled in ingest"),
+                // `ingest` leaves this phase when it derives the subkey,
+                // so no frame is readable here yet.
+                AeadPhase::Salt => return Ok(None),
                 AeadPhase::Length => {
                     if avail < 2 + TAG_LEN {
                         return Ok(None);

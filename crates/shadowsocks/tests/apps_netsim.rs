@@ -37,7 +37,7 @@ impl App for ProxyClient {
             }
             AppEvent::Data { data, .. } => {
                 if let Some(s) = &mut self.session {
-                    self.received.borrow_mut().extend(s.recv(&data));
+                    self.received.borrow_mut().extend(s.recv(&data.bytes()));
                 }
             }
             AppEvent::PeerFin { conn } => {
@@ -58,7 +58,7 @@ impl App for Httpish {
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
         if let AppEvent::Data { conn, data } = ev {
             let mut resp = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
-            resp.extend_from_slice(&data);
+            resp.extend_from_slice(&data.bytes());
             ctx.send(conn, resp);
         }
     }

@@ -197,7 +197,7 @@ mod tests {
             assert!((1..=1000).contains(&p.payload.len()));
             // Entropy > 7 is only reachable for payloads ≥ 2^7 bytes.
             if p.payload.len() >= 1000 {
-                assert!(analysis::shannon_entropy(&p.payload) > 6.5);
+                assert!(analysis::shannon_entropy(&p.payload.bytes()) > 6.5);
             }
         }
         // The client closes every connection itself (sink never does).

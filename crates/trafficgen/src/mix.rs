@@ -488,7 +488,7 @@ mod tests {
                 .expect("first payload to/from a known server");
             let profile = profiles.iter().find(|q| q.name == *name).unwrap();
             if profile.server_first {
-                assert!(p.payload.starts_with(b"SSH-2.0-"));
+                assert!(p.payload.bytes().starts_with(b"SSH-2.0-"));
             } else {
                 let (lo, hi) = profile.len_support;
                 assert!(
