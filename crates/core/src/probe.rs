@@ -78,19 +78,20 @@ fn change_byte(buf: &mut [u8], idx: usize, rng: &mut impl Rng) {
     }
 }
 
-/// Build the probe payload for `kind`. Replay kinds require `base` (the
-/// recorded first payload of a legitimate connection); NR kinds ignore
-/// it.
+/// Build the probe payload for `kind`. Replay kinds derive it from
+/// `base` (the recorded first payload of a legitimate connection), and
+/// from an empty payload when it is `None`; NR kinds ignore it.
 pub fn build_payload(kind: ProbeKind, base: Option<&[u8]>, rng: &mut impl Rng) -> Vec<u8> {
+    let base = base.unwrap_or_default();
     match kind {
-        ProbeKind::R1 => base.expect("replay probe needs a base payload").to_vec(),
+        ProbeKind::R1 => base.to_vec(),
         ProbeKind::R2 => {
-            let mut p = base.expect("replay probe needs a base payload").to_vec();
+            let mut p = base.to_vec();
             change_byte(&mut p, 0, rng);
             p
         }
         ProbeKind::R3 => {
-            let mut p = base.expect("replay probe needs a base payload").to_vec();
+            let mut p = base.to_vec();
             for i in 0..=7 {
                 change_byte(&mut p, i, rng);
             }
@@ -99,12 +100,12 @@ pub fn build_payload(kind: ProbeKind, base: Option<&[u8]>, rng: &mut impl Rng) -
             p
         }
         ProbeKind::R4 => {
-            let mut p = base.expect("replay probe needs a base payload").to_vec();
+            let mut p = base.to_vec();
             change_byte(&mut p, 16, rng);
             p
         }
         ProbeKind::R5 => {
-            let mut p = base.expect("replay probe needs a base payload").to_vec();
+            let mut p = base.to_vec();
             change_byte(&mut p, 6, rng);
             change_byte(&mut p, 16, rng);
             p

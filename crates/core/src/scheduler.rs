@@ -171,7 +171,7 @@ impl Scheduler {
         if !st.nr1_enabled {
             let total: u64 = st.remainder_counts.iter().sum();
             if total >= config.consistency_min {
-                let max = *st.remainder_counts.iter().max().unwrap();
+                let max = st.remainder_counts.iter().copied().fold(0, u64::max);
                 if max as f64 / total as f64 >= config.consistency_share {
                     st.nr1_enabled = true;
                 }
@@ -219,8 +219,9 @@ impl Scheduler {
             });
         }
 
-        // One paced random probe per stored payload.
-        let st = self.servers.get_mut(&server).unwrap();
+        // One paced random probe per stored payload. The entry exists:
+        // it was made above.
+        let st = self.servers.entry(server).or_default();
         let nr_kind = if nr1 && rng.gen_bool(0.25) {
             ProbeKind::Nr1
         } else {

@@ -8,6 +8,9 @@
 use crate::report::Comparison;
 use crate::runs::{sink_run, SinkExp, SinkRunConfig};
 use crate::Scale;
+use netsim::packet::Payload;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Result of the Fig 9 analysis.
 pub struct Fig9 {
@@ -89,6 +92,32 @@ impl std::fmt::Display for Fig9 {
     }
 }
 
+/// Entropy of each stored payload that an identical (R1) replay
+/// copied, in the order the replays reached the server. Prober payloads
+/// are matched to triggers by their bytes; a later trigger with
+/// identical bytes overwrites an earlier one (they have the same
+/// entropy). Each stored payload counts once: occurrence counts are
+/// dominated by the up-to-47× replay multiplicity.
+fn replayed_entropy(triggers: &[(Cow<'_, [u8]>, f64)], prober_payloads: &[Payload]) -> Vec<f64> {
+    let mut by_bytes: HashMap<&[u8], f64> = triggers.iter().map(|(b, e)| (&b[..], *e)).collect();
+    prober_payloads
+        .iter()
+        .filter_map(|p| by_bytes.remove(&p.bytes()[..]))
+        .collect()
+}
+
+/// Each trigger payload's bytes with its Shannon entropy.
+fn trigger_entropies(triggers: &[Payload]) -> Vec<(Cow<'_, [u8]>, f64)> {
+    triggers
+        .iter()
+        .map(|p| {
+            let bytes = p.bytes();
+            let e = analysis::shannon_entropy(&bytes);
+            (bytes, e)
+        })
+        .collect()
+}
+
 /// Run Exp 3 and bin replays by the entropy of the replayed payload.
 pub fn run(scale: Scale, seed: u64) -> Fig9 {
     let cfg = SinkRunConfig {
@@ -98,12 +127,13 @@ pub fn run(scale: Scale, seed: u64) -> Fig9 {
         seed,
     };
     let res = sink_run(&cfg);
+    let triggers = trigger_entropies(&res.triggers);
     let mut bins = [(0usize, 0usize); 8];
-    for t in &res.triggers {
-        let b = (t.entropy.floor() as usize).min(7);
+    for &(_, e) in &triggers {
+        let b = (e.floor() as usize).min(7);
         bins[b].0 += 1;
     }
-    for &e in &res.replayed_entropy {
+    for e in replayed_entropy(&triggers, &res.prober_payloads) {
         let b = (e.floor() as usize).min(7);
         bins[b].1 += 1;
     }
@@ -121,5 +151,59 @@ mod tests {
         let total_replays: usize = fig.bins.iter().map(|b| b.1).sum();
         assert!(total_replays > 20, "{total_replays} replays");
         assert!(fig.comparison().all_hold(), "\n{fig}");
+    }
+
+    /// The matching this figure used before it keyed by bytes: SHA-256
+    /// digests, with a separate set so each stored payload counts once.
+    fn replayed_entropy_by_digest(triggers: &[Payload], prober_payloads: &[Payload]) -> Vec<f64> {
+        let mut digest_entropy = HashMap::new();
+        for p in triggers {
+            let payload = p.bytes();
+            let e = analysis::shannon_entropy(&payload);
+            digest_entropy.insert(sscrypto::sha256::sha256(&payload), e);
+        }
+        let mut counted = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for p in prober_payloads {
+            let digest = sscrypto::sha256::sha256(&p.bytes());
+            if let Some(&e) = digest_entropy.get(&digest) {
+                if counted.insert(digest) {
+                    out.push(e);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn byte_matching_equals_digest_matching() {
+        let mut res = sink_run(&SinkRunConfig {
+            exp: SinkExp::Exp3,
+            connections: 20_000,
+            conn_interval: netsim::time::Duration::from_secs(1),
+            seed: 12,
+        });
+        // Payloads that two triggers share: repeat every replayed trigger.
+        let replayed: Vec<Payload> = res
+            .triggers
+            .iter()
+            .filter(|t| res.prober_payloads.contains(t))
+            .cloned()
+            .collect();
+        res.triggers.extend(replayed.iter().cloned());
+        // Some trigger payload reaches the server more than once.
+        let repeats = replayed
+            .iter()
+            .filter(|t| res.prober_payloads.iter().filter(|p| p == t).count() > 1)
+            .count();
+        assert!(
+            replayed.len() > 3 && repeats > 0,
+            "{} replayed, {repeats} repeated",
+            replayed.len()
+        );
+
+        let by_bytes = replayed_entropy(&trigger_entropies(&res.triggers), &res.prober_payloads);
+        let by_digest = replayed_entropy_by_digest(&res.triggers, &res.prober_payloads);
+        assert_eq!(by_bytes, by_digest);
     }
 }

@@ -5,7 +5,9 @@
 //!   the GFW model on path.
 //! * [`sink_run`] — §4.1's random-data experiments (Table 4): a
 //!   sink/responding TCP server and clients sending single payloads of
-//!   controlled length/entropy.
+//!   controlled length/entropy. It hands back the captured trigger and
+//!   prober payloads as shared handles; the figures that read them
+//!   (Fig 9) do their own analysis.
 //! * [`brdgrd_run`] — §7.1's mitigation test (Fig 11): the Shadowsocks
 //!   run with window shaping toggled on a schedule.
 
@@ -17,7 +19,7 @@ use netsim::app::{App, AppEvent, Ctx};
 use netsim::capture::Capture;
 use netsim::conn::{ConnId, TcpTuning};
 use netsim::host::HostConfig;
-use netsim::packet::{Ipv4, SocketAddr};
+use netsim::packet::{Ipv4, Payload, SocketAddr};
 use netsim::time::{Duration, SimTime};
 use netsim::{SimConfig, Simulator};
 use rand::rngs::StdRng;
@@ -333,24 +335,15 @@ pub struct SinkRunConfig {
     pub seed: u64,
 }
 
-/// One trigger connection's payload facts.
-#[derive(Clone, Copy, Debug)]
-pub struct TriggerObs {
-    /// Payload length.
-    pub len: usize,
-    /// Measured Shannon entropy.
-    pub entropy: f64,
-}
-
 /// Output of a random-data run.
 pub struct SinkRunResult {
     /// Probes received.
     pub probes: Vec<ProbeRecord>,
-    /// Per-trigger payload facts.
-    pub triggers: Vec<TriggerObs>,
-    /// Entropy of each stored payload that an identical (R1) replay
-    /// copied, matched by payload digest.
-    pub replayed_entropy: Vec<f64>,
+    /// The first data payload of each trigger connection, in capture
+    /// order.
+    pub triggers: Vec<Payload>,
+    /// Every data payload a prober sent to the server, in capture order.
+    pub prober_payloads: Vec<Payload>,
 }
 
 /// Run one Table 4 experiment.
@@ -396,44 +389,27 @@ pub fn sink_run(cfg: &SinkRunConfig) -> SinkRunResult {
     sim.run();
     crate::runner::record_sim_stats(&sim.stats);
 
-    // Trigger facts from the capture: the first data packet of each
-    // client connection (probes excluded via AS lookup).
+    // Trigger payloads from the capture: the first data packet of each
+    // client connection. Prober packets are told apart by AS lookup.
+    // Each handle shares the captured bytes.
     let capref = sim.capture(cap);
-    let mut triggers = Vec::new();
-    let mut digest_entropy: HashMap<[u8; 32], f64> = HashMap::new();
-    for p in capref.first_data_per_conn() {
-        if analysis::asn::lookup(p.src.0).is_some() {
-            continue;
-        }
-        let payload = p.payload.bytes();
-        let e = analysis::shannon_entropy(&payload);
-        triggers.push(TriggerObs {
-            len: payload.len(),
-            entropy: e,
-        });
-        digest_entropy.insert(sscrypto::sha256::sha256(&payload), e);
-    }
-    // Match identical replays back to their trigger's entropy; each
-    // stored payload counts once (occurrence counts are dominated by
-    // the up-to-47× replay multiplicity).
-    let mut replayed_entropy = Vec::new();
-    let mut counted: std::collections::HashSet<[u8; 32]> = std::collections::HashSet::new();
-    for p in capref.data_packets() {
-        if analysis::asn::lookup(p.src.0).is_some() {
-            let digest = sscrypto::sha256::sha256(&p.payload.bytes());
-            if let Some(&e) = digest_entropy.get(&digest) {
-                if counted.insert(digest) {
-                    replayed_entropy.push(e);
-                }
-            }
-        }
-    }
+    let triggers = capref
+        .first_data_per_conn()
+        .into_iter()
+        .filter(|p| analysis::asn::lookup(p.src.0).is_none())
+        .map(|p| p.payload.clone())
+        .collect();
+    let prober_payloads = capref
+        .data_packets()
+        .filter(|p| analysis::asn::lookup(p.src.0).is_some())
+        .map(|p| p.payload.clone())
+        .collect();
 
     let st = handle.state.borrow();
     SinkRunResult {
         probes: st.probes().to_vec(),
         triggers,
-        replayed_entropy,
+        prober_payloads,
     }
 }
 
