@@ -22,11 +22,18 @@
 //!   in field L, so every entry at a lower level, or in a lower slot of
 //!   level L, is earlier: the wheel minimum sits in the lowest occupied
 //!   level's `trailing_zeros` slot of its 64-bit occupancy bitmap;
-//! * popping refills a small `ready` batch by draining only that slot:
-//!   the cursor jumps to the smallest tick among its entries, which are
-//!   sorted by `(time, seq)` once, and the rest now differ from the
-//!   cursor below level L, so they re-file strictly lower (the classic
-//!   cascade). Every other wheel entry keeps its slot;
+//! * every wheel entry lives in one slab with a free list; a slot is
+//!   only the head index of a singly linked list through the slab
+//!   (Varghese and Lauck's hashed hierarchical wheel, as in tokio's
+//!   timer). Memory follows the peak number of live entries, not the
+//!   sum of every slot's high-water mark;
+//! * popping refills a small `ready` batch by walking only that slot's
+//!   list: the cursor jumps to the smallest tick among its entries,
+//!   which move into `ready` (their cells go back to the free list) and
+//!   are sorted by `(time, seq)` once. The rest now differ from the
+//!   cursor below level L, so they re-link in place strictly lower (the
+//!   classic cascade), with no move and no allocation. Every other
+//!   wheel entry keeps its slot;
 //! * after each cursor move, overflow entries that now fit in the
 //!   cursor's span move into the wheel, so the overflow only ever holds
 //!   entries later than the whole wheel.
@@ -48,7 +55,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// log2 of the tick length in nanoseconds.
 const GRANULARITY_BITS: u32 = 16;
@@ -97,6 +104,16 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// The nil link: the end of a slot's list or of the free list.
+const NIL: usize = usize::MAX;
+
+/// One slab cell: a wheel entry (or `None` when the cell is free) and
+/// the link to the next cell of its slot's list or of the free list.
+struct Node<T> {
+    entry: Option<Entry<T>>,
+    next: usize,
+}
+
 /// A min-queue of `(SimTime, T)` entries ordered by `(time, insertion
 /// sequence)` — the timer wheel plus its overflow heap.
 pub struct EventQueue<T> {
@@ -106,9 +123,14 @@ pub struct EventQueue<T> {
     /// Next insertion sequence number (the tiebreaker).
     next_seq: u64,
     len: usize,
-    /// `LEVELS × SLOTS` buckets, flattened; entries within a bucket are
-    /// unordered until drained.
-    slots: Vec<Vec<Entry<T>>>,
+    /// Every wheel entry, in cells linked into per-slot lists; freed
+    /// cells are reused before the slab grows.
+    slab: Vec<Node<T>>,
+    /// Head of the free-cell list.
+    free: usize,
+    /// `LEVELS × SLOTS` list heads into `slab`, flattened; entries
+    /// within a slot are unordered until drained.
+    heads: Vec<usize>,
     /// Per-level occupancy bitmaps.
     occ: [u64; LEVELS],
     /// The minimal tick's entries, sorted descending by `(at, seq)` so
@@ -131,7 +153,9 @@ impl<T> EventQueue<T> {
             now_tick: 0,
             next_seq: 0,
             len: 0,
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; LEVELS * SLOTS],
             occ: [0; LEVELS],
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
@@ -192,45 +216,85 @@ impl<T> EventQueue<T> {
             self.ready.insert(pos, e);
             return;
         }
-        let diff = tick ^ self.now_tick;
-        if diff >= SPAN_TICKS {
+        if tick ^ self.now_tick >= SPAN_TICKS {
             self.overflow.push(Reverse(e));
             return;
         }
-        // tick > cursor, so diff ≥ 1 and the high bit index is defined.
+        let node = Node {
+            entry: Some(e),
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            self.slab.push(node);
+            self.slab.len() - 1
+        } else {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.slab[i], node).next;
+            i
+        };
+        self.link(i, tick);
+    }
+
+    /// Link slab cell `i`, holding an entry at `tick` (> the cursor and
+    /// within the span), at the head of its wheel slot's list.
+    fn link(&mut self, i: usize, tick: u64) {
+        // tick > cursor, so the xor is ≥ 1 and its high bit is defined.
+        let diff = tick ^ self.now_tick;
         let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(e);
+        let head = &mut self.heads[level * SLOTS + slot];
+        self.slab[i].next = *head;
+        *head = i;
         self.occ[level] |= 1 << slot;
     }
 
     /// Advance the cursor to the minimal queued tick and move every
     /// entry of that tick into `ready`, sorted. The drained slot's later
-    /// entries re-file one or more levels lower (the cascade).
+    /// entries re-link in place one or more levels lower (the cascade).
     fn refill(&mut self) {
         debug_assert!(self.ready.is_empty() && self.len > 0);
-        let mut drained = match self.occ.iter().position(|&bits| bits != 0) {
-            Some(level) => {
-                let slot = self.occ[level].trailing_zeros() as usize;
-                self.occ[level] &= !(1 << slot);
-                std::mem::take(&mut self.slots[level * SLOTS + slot])
+        if let Some(level) = self.occ.iter().position(|&bits| bits != 0) {
+            let slot = self.occ[level].trailing_zeros() as usize;
+            self.occ[level] &= !(1 << slot);
+            let head = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
+            let mut m = u64::MAX;
+            let mut i = head;
+            while i != NIL {
+                let node = &self.slab[i];
+                m = node.entry.as_ref().map_or(m, |e| m.min(e.tick()));
+                i = node.next;
             }
+            debug_assert!(m != u64::MAX && m > self.now_tick, "cursor must advance");
+            self.now_tick = m;
+            let mut i = head;
+            while i != NIL {
+                let node = &mut self.slab[i];
+                let next = node.next;
+                match node.entry.as_ref().map(Entry::tick) {
+                    Some(tick) if tick != m => self.link(i, tick),
+                    _ => {
+                        self.ready.extend(node.entry.take());
+                        node.next = self.free;
+                        self.free = i;
+                    }
+                }
+                i = next;
+            }
+        } else if let Some(Reverse(e)) = self.overflow.pop() {
             // Empty wheel: the overflow minimum is next.
-            None => Vec::from_iter(self.overflow.pop().map(|Reverse(e)| e)),
-        };
-        let m = drained.iter().fold(u64::MAX, |m, e| m.min(e.tick()));
-        debug_assert!(m != u64::MAX && m > self.now_tick, "cursor must advance");
-        self.now_tick = m;
+            debug_assert!(e.tick() > self.now_tick, "cursor must advance");
+            self.now_tick = e.tick();
+            self.ready.push(e);
+        }
         // Overflow entries that the move brought within the span file now,
         // before any later refill trusts the wheel to hold the minimum.
-        while self
+        let m = self.now_tick;
+        while let Some(Reverse(e)) = self
             .overflow
-            .peek()
-            .is_some_and(|Reverse(e)| e.tick() ^ m < SPAN_TICKS)
+            .peek_mut()
+            .filter(|top| top.0.tick() ^ m < SPAN_TICKS)
+            .map(PeekMut::pop)
         {
-            drained.extend(self.overflow.pop().map(|Reverse(e)| e));
-        }
-        for e in drained {
             if e.tick() == m {
                 self.ready.push(e);
             } else {
@@ -373,9 +437,7 @@ mod tests {
             q.push(SimTime(h * hour), h);
         }
         let occupied = |q: &EventQueue<u64>| -> Vec<usize> {
-            (0..LEVELS * SLOTS)
-                .filter(|&i| !q.slots[i].is_empty())
-                .collect()
+            (0..LEVELS * SLOTS).filter(|&i| q.heads[i] != NIL).collect()
         };
         let mut before = occupied(&q);
         assert_eq!(before.len(), 5, "one slot per entry");
@@ -388,5 +450,34 @@ mod tests {
             before = after;
         }
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_live_wheel_count() {
+        // Fill one far slot, drain it, and repeat at other levels: every
+        // drain returns its cells, and every later fill reuses them.
+        const N: u64 = 500;
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for level in [5u32, 3, 1, 4, 2, 0, 5] {
+            // The start of a slot three slots past the cursor's at `level`;
+            // every tick below lies inside that one slot.
+            let width = 1u64 << (SLOT_BITS * level);
+            let base = (now / width + 3) * width;
+            for i in 0..N {
+                q.push(at(base + i % width), i);
+            }
+            assert!(q.slab.len() <= N as usize, "cells were not reused");
+            let mut last = SimTime(0);
+            for _ in 0..N {
+                let (t, _) = q.pop().expect("N entries queued");
+                assert!(t >= last);
+                last = t;
+                assert!(q.slab.len() <= N as usize, "a refill grew the slab");
+            }
+            assert!(q.is_empty());
+            now = last.0 >> GRANULARITY_BITS;
+        }
+        assert_eq!(q.slab.len(), N as usize);
     }
 }

@@ -426,11 +426,11 @@ impl Simulator {
             Event::Timer { app, token } => self.dispatch(app, AppEvent::Timer { token }),
             Event::OpenConn => {
                 self.next_open_at = None;
-                while let Some(&(at, _)) = self.scheduled_connects.front() {
-                    if at > self.now {
-                        break;
-                    }
-                    let (_, p) = self.scheduled_connects.pop_front().expect("checked front");
+                let now = self.now;
+                while let Some((_, p)) = self
+                    .scheduled_connects
+                    .pop_front_if(|&mut (at, _)| at <= now)
+                {
                     self.open_connection(p.app, p.from, p.to, p.tuning, p.conn);
                 }
                 self.arm_open_event();

@@ -15,7 +15,10 @@
 //! * pushes relative to the last popped time, one tick below, on and
 //!   above every level boundary and the span edge, so cascades and
 //!   overflow-to-wheel moves also run near a far cursor (an absolute
-//!   push there is clamped into the ready batch).
+//!   push there is clamped into the ready batch);
+//! * `next_time` calls between pushes and pops, as the simulator's run
+//!   loop and the GFW scheduler make them: each may run a refill, so
+//!   later pushes land in wheel cells that earlier drains freed.
 
 #![expect(
     clippy::disallowed_types,
@@ -45,6 +48,10 @@ impl HeapRef {
     fn pop(&mut self) -> Option<(SimTime, u32)> {
         self.heap.pop().map(|Reverse((at, _, item))| (at, item))
     }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -53,6 +60,8 @@ enum Op {
     /// Push at the last popped time plus this many nanoseconds.
     PushAfter(u64),
     Pop,
+    /// `next_time`, which may refill the ready batch between pushes.
+    Peek,
 }
 
 /// log2 of the wheel's tick length in nanoseconds.
@@ -99,6 +108,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         delta_strategy().prop_map(Op::PushAfter),
         Just(Op::Pop),
         Just(Op::Pop),
+        Just(Op::Peek),
     ]
 }
 
@@ -126,6 +136,10 @@ proptest! {
                     if let Some((at, _)) = got {
                         now = at.0;
                     }
+                    None
+                }
+                Op::Peek => {
+                    prop_assert_eq!(wheel.next_time(), reference.peek_time());
                     None
                 }
             };
