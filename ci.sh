@@ -42,7 +42,7 @@ echo "==> exp-baserate --quick smoke"
 # GFW under the hybrid engine; every flow must be inspected.
 ./target/release/exp-baserate --quick > /dev/null
 
-echo "==> differential properties (crypto fast paths, event queue, bulk bytes, replay filter)"
+echo "==> differential properties (crypto fast paths, event queue, bulk bytes, response synthesis, replay filter)"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the
 # AES-NI/CLMUL/SIMD hardware paths must stay byte-identical to the
 # scalar reference paths, and the timer wheel must pop exactly what a
@@ -53,6 +53,10 @@ cargo test -q -p sscrypto --test crypto_props
 cargo test -q -p shadowsocks --test wire_props
 cargo test -q --release -p netsim --test eventq_props
 cargo test -q --release -p netsim --test flow_props
+# A background server's response goes out as a description: the walk
+# that sizes it must draw exactly what the generator draws, and the
+# bytes synthesized from its seed must equal the eager response.
+cargo test -q --release -p trafficgen --test profile_props
 # The sparse-until-dense replay filter must answer every insert, lookup,
 # clear and restart exactly as the dense-only filter it replaced.
 cargo test -q --release -p shadowsocks --lib bloom

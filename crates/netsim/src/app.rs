@@ -46,9 +46,9 @@ pub enum AppEvent {
         /// Segment payload: the delivered packet's own payload, moved
         /// rather than copied. [`Payload::len`] is free; read the bytes
         /// with [`Payload::bytes`], which borrows app-sent bytes and
-        /// synthesizes a bulk segment's on the call. Take
-        /// `bytes().into_owned()` when an owned copy is needed (e.g. to
-        /// echo it).
+        /// synthesizes a bulk or [`Ctx::send_synth`] segment's on the
+        /// call. Take `bytes().into_owned()` when an owned copy is
+        /// needed (e.g. to echo it).
         data: Payload,
     },
     /// Peer sent FIN.
@@ -88,6 +88,19 @@ pub trait App {
 pub enum Command {
     /// Send payload on a connection (segmented by the simulator).
     Send(ConnId, Vec<u8>),
+    /// Send the `len`-byte message `synth(key)` on a connection,
+    /// segmented like [`Command::Send`]; each segment is a
+    /// [`Payload::Synth`] range, so no byte is built unless read.
+    SendSynth {
+        /// Connection.
+        conn: ConnId,
+        /// Regenerates the message from `key`.
+        synth: fn(u64) -> Vec<u8>,
+        /// What the message is a function of.
+        key: u64,
+        /// Message length in bytes: `synth(key).len()`.
+        len: u16,
+    },
     /// Close a connection with FIN.
     Fin(ConnId),
     /// Abort a connection with RST.
@@ -138,6 +151,24 @@ impl<'a> Ctx<'a> {
     /// Send `data` on `conn`.
     pub fn send(&mut self, conn: ConnId, data: Vec<u8>) {
         self.commands.push((self.app, Command::Send(conn, data)));
+    }
+
+    /// Send the `len`-byte message `synth(key)` on `conn` without
+    /// building it: the wire carries the same segments as
+    /// `send(conn, synth(key))`, and each segment's bytes are
+    /// regenerated only when something reads them. `synth` must be a
+    /// pure function of `key`, and `len` must equal the length of its
+    /// result.
+    pub fn send_synth(&mut self, conn: ConnId, synth: fn(u64) -> Vec<u8>, key: u64, len: u16) {
+        self.commands.push((
+            self.app,
+            Command::SendSynth {
+                conn,
+                synth,
+                key,
+                len,
+            },
+        ));
     }
 
     /// Close `conn` with a FIN.

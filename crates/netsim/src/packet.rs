@@ -139,15 +139,16 @@ impl std::fmt::Display for TcpFlags {
     }
 }
 
-/// A segment's application payload: the bytes an app sent, or a range
-/// of a bulk transfer's stream that is synthesized only when read.
+/// A segment's application payload: the bytes an app sent, or a
+/// description of where they come from, synthesized only when read.
 ///
 /// No detector reads a bulk byte past a connection's first data
-/// segment (DESIGN §6i), so a bulk segment carries where its bytes
-/// come from rather than the bytes. [`Payload::len`] and
+/// segment, nor a background server's response after the client's
+/// first payload (DESIGN §6i), so such a segment carries where its
+/// bytes come from rather than the bytes. [`Payload::len`] and
 /// [`Payload::is_empty`] never synthesize; [`Payload::bytes`] does, on
-/// each call. Equality and `Debug` go by content, so a `Bulk` payload
-/// equals the `Bytes` payload it synthesizes to.
+/// each call. Equality and `Debug` go by content, so a `Bulk` or
+/// `Synth` payload equals the `Bytes` payload it synthesizes to.
 #[derive(Clone)]
 pub enum Payload {
     /// Bytes an app handed to [`crate::app::Ctx::send`].
@@ -162,6 +163,19 @@ pub enum Payload {
         /// Number of bytes.
         len: u32,
     },
+    /// Bytes `offset..offset + len` of the message `synth(key)`, as
+    /// sent with [`crate::app::Ctx::send_synth`]. `synth` must be a
+    /// pure function of `key`.
+    Synth {
+        /// Regenerates the whole message from `key`.
+        synth: fn(u64) -> Vec<u8>,
+        /// What the message is a function of.
+        key: u64,
+        /// Position of this segment's first byte in the message.
+        offset: u16,
+        /// Number of bytes.
+        len: u16,
+    },
 }
 
 impl Payload {
@@ -170,6 +184,7 @@ impl Payload {
         match self {
             Payload::Bytes(b) => b.len(),
             Payload::Bulk { len, .. } => *len as usize,
+            Payload::Synth { len, .. } => usize::from(*len),
         }
     }
 
@@ -179,7 +194,7 @@ impl Payload {
     }
 
     /// The payload's bytes: borrowed for app bytes, synthesized on
-    /// this call for a bulk range.
+    /// this call for a bulk range or a synthesized message.
     pub fn bytes(&self) -> Cow<'_, [u8]> {
         match self {
             Payload::Bytes(b) => Cow::Borrowed(b),
@@ -187,6 +202,17 @@ impl Payload {
                 let mut buf = vec![0; len as usize];
                 fill_bulk(&mut buf, conn, offset);
                 Cow::Owned(buf)
+            }
+            &Payload::Synth {
+                synth,
+                key,
+                offset,
+                len,
+            } => {
+                let mut msg = synth(key);
+                msg.truncate(usize::from(offset) + usize::from(len));
+                msg.drain(..usize::from(offset));
+                Cow::Owned(msg)
             }
         }
     }
@@ -300,5 +326,59 @@ mod tests {
         assert_eq!(format!("{bulk:?}"), format!("{app:?}"));
         assert_ne!(bulk, Payload::default());
         assert!(Payload::default().is_empty());
+    }
+
+    /// A message regenerated from its key: bytes `3 * key + i`.
+    fn counting(key: u64) -> Vec<u8> {
+        (0..40u64).map(|i| (3 * key + i) as u8).collect()
+    }
+
+    #[test]
+    fn synth_len_never_synthesizes() {
+        let synth: fn(u64) -> Vec<u8> = |_| panic!("len() must not synthesize");
+        let seg = Payload::Synth {
+            synth,
+            key: 1,
+            offset: 7,
+            len: 9,
+        };
+        assert_eq!(seg.len(), 9);
+        assert!(!seg.is_empty());
+        let empty = Payload::Synth {
+            synth,
+            key: 1,
+            offset: 7,
+            len: 0,
+        };
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn synth_segment_reads_its_slice_of_the_message() {
+        let msg = counting(5);
+        let seg = Payload::Synth {
+            synth: counting,
+            key: 5,
+            offset: 12,
+            len: 20,
+        };
+        assert_eq!(&seg.bytes()[..], &msg[12..32]);
+        let whole = Payload::Synth {
+            synth: counting,
+            key: 5,
+            offset: 0,
+            len: 40,
+        };
+        assert_eq!(&whole.bytes()[..], &msg[..]);
+        let app = Payload::Bytes(Bytes::copy_from_slice(&msg[12..32]));
+        assert_eq!(seg, app);
+        assert_eq!(format!("{seg:?}"), format!("{app:?}"));
+        let other_key = Payload::Synth {
+            synth: counting,
+            key: 6,
+            offset: 12,
+            len: 20,
+        };
+        assert_ne!(seg, other_key);
     }
 }

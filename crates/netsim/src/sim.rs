@@ -719,6 +719,17 @@ impl Simulator {
                     Payload::Bytes(Bytes::copy_from_slice(&data[at..at + take as usize]))
                 })
             }
+            Command::SendSynth {
+                conn,
+                synth,
+                key,
+                len,
+            } => self.do_send(owner, conn, u64::from(len), |at, take| Payload::Synth {
+                synth,
+                key,
+                offset: at as u16,
+                len: take as u16,
+            }),
             Command::Fin(conn) => self.do_fin(owner, conn),
             Command::Rst(conn) => self.do_rst(owner, conn),
             Command::Connect {
@@ -744,8 +755,8 @@ impl Simulator {
 
     /// Send `total` bytes on `conn` as data segments. `segment(at,
     /// take)` describes the payload of the `take` bytes at offset `at`
-    /// of what is being sent, so app bytes and bulk ranges share this
-    /// one segmentation loop.
+    /// of what is being sent, so app bytes, synthesized messages and
+    /// bulk ranges share this one segmentation loop.
     fn do_send(
         &mut self,
         owner: AppId,

@@ -25,7 +25,7 @@
 //! flows land at distinct timestamps and the event order is forced by
 //! time alone.
 
-use crate::profiles::{conn_rng, Profile};
+use crate::profiles::{conn_rng, conn_seed, Profile};
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::conn::{ConnId, TcpTuning};
 use netsim::host::HostConfig;
@@ -308,7 +308,10 @@ impl App for ProfileClient {
 }
 
 /// Server side of one background profile: greet (SSH), respond to the
-/// client's first payload, stream the bulk tail, close.
+/// client's first payload, stream the bulk tail, close. The greeting is
+/// sent as bytes, because the tap scores it as the connection's first
+/// payload; the response is a [`netsim::Payload::Synth`] message, built
+/// only if something reads it.
 struct ProfileServer {
     profile: Profile,
     seed: u64,
@@ -326,8 +329,18 @@ impl App for ProfileServer {
                 }
             }
             AppEvent::Data { conn, .. } if self.responded.insert(conn) => {
-                let mut rng = conn_rng(self.seed ^ STREAM_RESPONSE, conn.0);
-                ctx.send(conn, self.profile.server_response(&mut rng));
+                // Nobody reads the response (the tap scored the
+                // client's first payload already), so it goes out as a
+                // description; the walk leaves `rng` where building it
+                // would, for the tail draw.
+                let key = conn_seed(self.seed ^ STREAM_RESPONSE, conn.0);
+                let mut rng = StdRng::seed_from_u64(key);
+                let len = self.profile.server_response_len(&mut rng);
+                let synth = self.profile.response_synth();
+                match u16::try_from(len) {
+                    Ok(len) => ctx.send_synth(conn, synth, key, len),
+                    Err(_) => ctx.send(conn, synth(key)),
+                }
                 let tail = self.profile.draw_tail(&mut rng);
                 if tail > 0 {
                     ctx.transfer(conn, tail);
@@ -406,7 +419,8 @@ impl App for MixWeb {
 mod tests {
     use super::*;
     use netsim::capture::Capture;
-    use netsim::{EngineMode, SimConfig};
+    use netsim::{EngineMode, Payload, SimConfig};
+    use std::collections::HashMap;
 
     fn run_mix(engine: EngineMode, spec: &MixSpec) -> (MixHandles, Vec<netsim::packet::Packet>) {
         let config = SimConfig {
@@ -495,6 +509,67 @@ mod tests {
                     (lo..=hi).contains(&p.payload.len()),
                     "{name}: first payload {} outside [{lo}, {hi}]",
                     p.payload.len()
+                );
+            }
+        }
+    }
+
+    /// Background responses go out as `Payload::Synth` descriptions.
+    /// Read back through `bytes()`, every background server's data
+    /// still starts with its greeting and the eagerly built response
+    /// from the same `conn_rng` streams, under both engines.
+    #[test]
+    fn synthesized_responses_read_as_the_eager_bytes() {
+        let spec = MixSpec {
+            background_flows: 600,
+            ..Default::default()
+        };
+        for engine in [EngineMode::Packet, EngineMode::Hybrid] {
+            let config = SimConfig {
+                engine,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(config, 77);
+            let cap = sim.add_capture(Capture::all());
+            let handles = TrafficMix::install(&mut sim, &spec);
+            sim.run();
+            let profile_at: HashMap<SocketAddr, Profile> = handles
+                .servers
+                .iter()
+                .zip(Profile::all())
+                .map(|((_, addr), p)| (*addr, p))
+                .collect();
+            // Per connection: (expected prefix, server data read so far).
+            let mut conns: HashMap<ConnId, (Vec<u8>, Vec<u8>)> = HashMap::new();
+            let mut synth_segments = 0usize;
+            for pkt in sim.capture(cap).packets() {
+                let Some(p) = profile_at.get(&pkt.src).filter(|_| pkt.has_payload()) else {
+                    continue;
+                };
+                if matches!(pkt.payload, Payload::Synth { .. }) {
+                    synth_segments += 1;
+                }
+                let (want, got) = conns.entry(pkt.conn).or_insert_with(|| {
+                    let id = pkt.conn.0;
+                    let mut want = p
+                        .server_greeting(&mut conn_rng(spec.seed ^ STREAM_GREETING, id))
+                        .unwrap_or_default();
+                    want.extend(p.server_response(&mut conn_rng(spec.seed ^ STREAM_RESPONSE, id)));
+                    (want, Vec::new())
+                });
+                if got.len() < want.len() {
+                    got.extend_from_slice(&pkt.payload.bytes());
+                }
+            }
+            assert!(conns.len() > 500, "{engine:?}: {} connections", conns.len());
+            assert!(
+                synth_segments >= conns.len(),
+                "{engine:?}: responses sent eagerly"
+            );
+            for (conn, (want, got)) in &conns {
+                assert!(
+                    got.starts_with(want),
+                    "{engine:?}: {conn:?} response differs"
                 );
             }
         }

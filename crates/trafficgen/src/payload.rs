@@ -9,6 +9,109 @@
 //! bytes to carry protocol-typical entropy, not uniform noise.
 
 use rand::Rng;
+use std::fmt;
+
+/// Where a generator's bytes go. The server-response generators
+/// ([`tls_server_flight`], [`ssh_kexinit`], [`dns_tcp_response`],
+/// [`http_response`], [`quic_like_payload`]) are each written once
+/// against this trait, so a message's bytes and the RNG draws that
+/// make them cannot drift apart: a `Vec<u8>` writes the bytes, and a
+/// `Count` (crate-private) only adds up their length. `Count` skips the
+/// random fills and letters by drawing the same number of RNG words,
+/// which relies on the vendored `rand`: `fill` of `n` bytes draws
+/// ⌈n/8⌉ words, and every `gen` or `gen_range` draws one.
+pub trait Sink: Default {
+    /// Bytes written so far.
+    fn written(&self) -> usize;
+    /// Append fixed bytes.
+    fn put(&mut self, bytes: &[u8]);
+    /// Append formatted text.
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>);
+    /// Append `n` random bytes, as `rng.fill` draws them.
+    fn put_random(&mut self, n: usize, rng: &mut impl Rng);
+    /// Append one random lowercase ASCII letter.
+    fn put_letter(&mut self, rng: &mut impl Rng);
+    /// Append everything written to `other`.
+    fn append(&mut self, other: Self);
+    /// Cut back to the first `len` bytes.
+    fn truncate(&mut self, len: usize);
+    /// Rewrite the first byte as `f` of itself.
+    fn map_first(&mut self, f: impl FnOnce(u8) -> u8);
+}
+
+impl Sink for Vec<u8> {
+    fn written(&self) -> usize {
+        self.len()
+    }
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
+        // Writing into a `Vec` cannot fail.
+        let _ = std::io::Write::write_fmt(self, args);
+    }
+    fn put_random(&mut self, n: usize, rng: &mut impl Rng) {
+        let start = self.len();
+        self.resize(start + n, 0);
+        rng.fill(&mut self[start..]);
+    }
+    fn put_letter(&mut self, rng: &mut impl Rng) {
+        self.push(rng.gen_range(b'a'..=b'z'));
+    }
+    fn append(&mut self, mut other: Self) {
+        Vec::append(self, &mut other);
+    }
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+    fn map_first(&mut self, f: impl FnOnce(u8) -> u8) {
+        if let Some(b) = self.first_mut() {
+            *b = f(*b);
+        }
+    }
+}
+
+/// A [`Sink`] that keeps only the length of what is written, and draws
+/// from the RNG exactly what writing it would.
+#[derive(Default)]
+pub(crate) struct Count(usize);
+
+impl Sink for Count {
+    fn written(&self) -> usize {
+        self.0
+    }
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
+        // Counting cannot fail.
+        let _ = fmt::Write::write_fmt(self, args);
+    }
+    fn put_random(&mut self, n: usize, rng: &mut impl Rng) {
+        self.0 += n;
+        for _ in 0..n.div_ceil(8) {
+            rng.next_u64();
+        }
+    }
+    fn put_letter(&mut self, rng: &mut impl Rng) {
+        self.0 += 1;
+        rng.next_u64();
+    }
+    fn append(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+    fn truncate(&mut self, len: usize) {
+        self.0 = self.0.min(len);
+    }
+    fn map_first(&mut self, _: impl FnOnce(u8) -> u8) {}
+}
+
+impl fmt::Write for Count {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
 
 /// TLS protocol generation for the hello builders.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,10 +193,17 @@ pub fn tls_client_hello(len: usize, rng: &mut impl Rng) -> Vec<u8> {
 }
 
 /// Append one TLS extension (`id`, length-prefixed `body`) to `out`.
-fn put_ext(out: &mut Vec<u8>, id: u16, body: &[u8]) {
-    out.extend_from_slice(&id.to_be_bytes());
-    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    out.extend_from_slice(body);
+fn put_ext(out: &mut impl Sink, id: u16, body: &[u8]) {
+    out.put(&id.to_be_bytes());
+    out.put(&(body.len() as u16).to_be_bytes());
+    out.put(body);
+}
+
+/// [`put_ext`] for a body that was itself generated into a sink.
+fn put_ext_with<S: Sink>(out: &mut S, id: u16, body: S) {
+    out.put(&id.to_be_bytes());
+    out.put(&(body.written() as u16).to_be_bytes());
+    out.append(body);
 }
 
 /// A wire-accurate ClientHello: correct record + handshake framing,
@@ -205,42 +315,36 @@ pub fn tls_client_hello_realistic(
 /// `version`); record 2 models the rest of the server's first flight —
 /// a Certificate chain under TLS 1.2, encrypted handshake records under
 /// TLS 1.3 — as a length-realistic high-entropy record.
-pub fn tls_server_flight(version: TlsVersion, rng: &mut impl Rng) -> Vec<u8> {
-    let mut hs = Vec::with_capacity(128);
-    hs.extend_from_slice(&[0x03, 0x03]);
-    let mut random = [0u8; 32];
-    rng.fill(&mut random[..]);
-    hs.extend_from_slice(&random);
-    hs.push(32);
-    let mut session = [0u8; 32];
-    rng.fill(&mut session[..]);
-    hs.extend_from_slice(&session);
+pub fn tls_server_flight<S: Sink>(version: TlsVersion, rng: &mut impl Rng) -> S {
+    let mut hs = S::default();
+    hs.put(&[0x03, 0x03]);
+    hs.put_random(32, rng); // random
+    hs.put(&[32]);
+    hs.put_random(32, rng); // session id
     let suite: u16 = match version {
         TlsVersion::V1_3 => 0x1301,
         TlsVersion::V1_2 => 0xc02f,
     };
-    hs.extend_from_slice(&suite.to_be_bytes());
-    hs.push(0x00); // compression
-    let mut exts = Vec::new();
+    hs.put(&suite.to_be_bytes());
+    hs.put(&[0x00]); // compression
+    let mut exts = S::default();
     if version == TlsVersion::V1_3 {
         put_ext(&mut exts, 0x002b, &[0x03, 0x04]);
-        let mut share = [0u8; 32];
-        rng.fill(&mut share[..]);
-        let mut ks = Vec::with_capacity(36);
-        ks.extend_from_slice(&[0x00, 0x1d, 0x00, 0x20]);
-        ks.extend_from_slice(&share);
-        put_ext(&mut exts, 0x0033, &ks);
+        let mut ks = S::default();
+        ks.put(&[0x00, 0x1d, 0x00, 0x20]);
+        ks.put_random(32, rng); // x25519 share
+        put_ext_with(&mut exts, 0x0033, ks);
     }
-    hs.extend_from_slice(&(exts.len() as u16).to_be_bytes());
-    hs.extend_from_slice(&exts);
+    hs.put(&(exts.written() as u16).to_be_bytes());
+    hs.append(exts);
 
-    let mut out = Vec::with_capacity(hs.len() + 9);
-    out.extend_from_slice(&[0x16, 0x03, 0x03]);
-    out.extend_from_slice(&((hs.len() + 4) as u16).to_be_bytes());
-    out.push(0x02); // ServerHello
-    let hl = hs.len() as u32;
-    out.extend_from_slice(&hl.to_be_bytes()[1..]);
-    out.extend_from_slice(&hs);
+    let mut out = S::default();
+    out.put(&[0x16, 0x03, 0x03]);
+    out.put(&((hs.written() + 4) as u16).to_be_bytes());
+    out.put(&[0x02]); // ServerHello
+    let hl = hs.written() as u32;
+    out.put(&hl.to_be_bytes()[1..]);
+    out.append(hs);
 
     // Rest of the flight.
     let (kind, lo, hi) = match version {
@@ -248,12 +352,9 @@ pub fn tls_server_flight(version: TlsVersion, rng: &mut impl Rng) -> Vec<u8> {
         TlsVersion::V1_3 => (0x17u8, 700, 2000),           // encrypted hs
     };
     let body_len = rng.gen_range(lo..=hi);
-    out.push(kind);
-    out.extend_from_slice(&[0x03, 0x03]);
-    out.extend_from_slice(&(body_len as u16).to_be_bytes());
-    let start = out.len();
-    out.resize(start + body_len, 0);
-    rng.fill(&mut out[start..]);
+    out.put(&[kind, 0x03, 0x03]);
+    out.put(&(body_len as u16).to_be_bytes());
+    out.put_random(body_len, rng);
     out
 }
 
@@ -278,61 +379,60 @@ pub fn ssh_banner(rng: &mut impl Rng) -> Vec<u8> {
     out
 }
 
+/// The algorithm name-lists of [`ssh_kexinit`], in RFC 4253 order.
+const KEX_NAME_LISTS: &[&str] = &[
+    "curve25519-sha256,curve25519-sha256@libssh.org,ecdh-sha2-nistp256,\
+     diffie-hellman-group-exchange-sha256,diffie-hellman-group14-sha256",
+    "rsa-sha2-512,rsa-sha2-256,ecdsa-sha2-nistp256,ssh-ed25519",
+    "chacha20-poly1305@openssh.com,aes128-ctr,aes192-ctr,aes256-ctr,\
+     aes128-gcm@openssh.com,aes256-gcm@openssh.com",
+    "chacha20-poly1305@openssh.com,aes128-ctr,aes192-ctr,aes256-ctr,\
+     aes128-gcm@openssh.com,aes256-gcm@openssh.com",
+    "umac-64-etm@openssh.com,umac-128-etm@openssh.com,\
+     hmac-sha2-256-etm@openssh.com,hmac-sha2-512-etm@openssh.com",
+    "umac-64-etm@openssh.com,umac-128-etm@openssh.com,\
+     hmac-sha2-256-etm@openssh.com,hmac-sha2-512-etm@openssh.com",
+    "none,zlib@openssh.com",
+    "none,zlib@openssh.com",
+    "",
+    "",
+];
+
 /// An SSH_MSG_KEXINIT binary packet (RFC 4253 §6): framed length,
 /// random cookie, ASCII algorithm name-lists, random padding. This is
 /// the server's (or client's) first binary packet after the banner.
-pub fn ssh_kexinit(rng: &mut impl Rng) -> Vec<u8> {
-    let mut body = Vec::with_capacity(600);
-    body.push(0x14); // SSH_MSG_KEXINIT
-    let mut cookie = [0u8; 16];
-    rng.fill(&mut cookie[..]);
-    body.extend_from_slice(&cookie);
-    let lists: &[&str] = &[
-        "curve25519-sha256,curve25519-sha256@libssh.org,ecdh-sha2-nistp256,\
-         diffie-hellman-group-exchange-sha256,diffie-hellman-group14-sha256",
-        "rsa-sha2-512,rsa-sha2-256,ecdsa-sha2-nistp256,ssh-ed25519",
-        "chacha20-poly1305@openssh.com,aes128-ctr,aes192-ctr,aes256-ctr,\
-         aes128-gcm@openssh.com,aes256-gcm@openssh.com",
-        "chacha20-poly1305@openssh.com,aes128-ctr,aes192-ctr,aes256-ctr,\
-         aes128-gcm@openssh.com,aes256-gcm@openssh.com",
-        "umac-64-etm@openssh.com,umac-128-etm@openssh.com,\
-         hmac-sha2-256-etm@openssh.com,hmac-sha2-512-etm@openssh.com",
-        "umac-64-etm@openssh.com,umac-128-etm@openssh.com,\
-         hmac-sha2-256-etm@openssh.com,hmac-sha2-512-etm@openssh.com",
-        "none,zlib@openssh.com",
-        "none,zlib@openssh.com",
-        "",
-        "",
-    ];
-    for l in lists {
-        body.extend_from_slice(&(l.len() as u32).to_be_bytes());
-        body.extend_from_slice(l.as_bytes());
+pub fn ssh_kexinit<S: Sink>(rng: &mut impl Rng) -> S {
+    let mut body = S::default();
+    body.put(&[0x14]); // SSH_MSG_KEXINIT
+    body.put_random(16, rng); // cookie
+    for l in KEX_NAME_LISTS {
+        body.put(&(l.len() as u32).to_be_bytes());
+        body.put(l.as_bytes());
     }
-    body.push(0); // first_kex_packet_follows
-    body.extend_from_slice(&[0, 0, 0, 0]); // reserved
-                                           // Pad so packet_length + padding aligns to 8 (cipher block).
-    let unpadded = body.len() + 5;
+    body.put(&[0]); // first_kex_packet_follows
+    body.put(&[0, 0, 0, 0]); // reserved
+
+    // Pad so packet_length + padding aligns to 8 (cipher block).
+    let unpadded = body.written() + 5;
     let mut pad = 8 - (unpadded % 8);
     if pad < 4 {
         pad += 8;
     }
-    let mut out = Vec::with_capacity(unpadded + pad);
-    out.extend_from_slice(&((body.len() + pad + 1) as u32).to_be_bytes());
-    out.push(pad as u8);
-    out.extend_from_slice(&body);
-    let start = out.len();
-    out.resize(start + pad, 0);
-    rng.fill(&mut out[start..]);
+    let mut out = S::default();
+    out.put(&((body.written() + pad + 1) as u32).to_be_bytes());
+    out.put(&[pad as u8]);
+    out.append(body);
+    out.put_random(pad, rng);
     out
 }
 
 const DNS_TLDS: &[&str] = &["com", "net", "org", "io", "cn", "dev"];
 
 /// Write a random lowercase DNS label of `len` bytes into `out`.
-fn push_label(out: &mut Vec<u8>, len: usize, rng: &mut impl Rng) {
-    out.push(len as u8);
+fn push_label(out: &mut impl Sink, len: usize, rng: &mut impl Rng) {
+    out.put(&[len as u8]);
     for _ in 0..len {
-        out.push(rng.gen_range(b'a'..=b'z'));
+        out.put_letter(rng);
     }
 }
 
@@ -368,50 +468,54 @@ pub fn dns_tcp_query(rng: &mut impl Rng) -> Vec<u8> {
 /// A DNS response over TCP: header with QR/RA set, the question echoed
 /// (fresh random QNAME — nobody correlates ids in the mix), and one
 /// A-record answer via name compression.
-pub fn dns_tcp_response(rng: &mut impl Rng) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(96);
+pub fn dns_tcp_response<S: Sink>(rng: &mut impl Rng) -> S {
+    let mut msg = S::default();
     let id: u16 = rng.gen();
-    msg.extend_from_slice(&id.to_be_bytes());
-    msg.extend_from_slice(&[0x81, 0x80]); // QR + RD + RA, NOERROR
-    msg.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0]); // QD=1, AN=1
+    msg.put(&id.to_be_bytes());
+    msg.put(&[0x81, 0x80]); // QR + RD + RA, NOERROR
+    msg.put(&[0, 1, 0, 1, 0, 0, 0, 0]); // QD=1, AN=1
     push_label(&mut msg, rng.gen_range(4..=12), rng);
     let tld = DNS_TLDS[rng.gen_range(0..DNS_TLDS.len())];
-    msg.push(tld.len() as u8);
-    msg.extend_from_slice(tld.as_bytes());
-    msg.push(0);
-    msg.extend_from_slice(&[0, 1, 0, 1]); // A, IN
-                                          // Answer: pointer to offset 12, A, IN, TTL, 4-byte address.
-    msg.extend_from_slice(&[0xc0, 0x0c, 0, 1, 0, 1]);
-    msg.extend_from_slice(&[0, 0, 0x0e, 0x10]); // TTL 3600
-    msg.extend_from_slice(&[0, 4]);
-    let addr: [u8; 4] = rng.gen();
-    msg.extend_from_slice(&addr);
-    let mut out = Vec::with_capacity(msg.len() + 2);
-    out.extend_from_slice(&(msg.len() as u16).to_be_bytes());
-    out.extend_from_slice(&msg);
+    msg.put(&[tld.len() as u8]);
+    msg.put(tld.as_bytes());
+    msg.put(&[0]);
+    msg.put(&[0, 1, 0, 1]); // A, IN
+
+    // Answer: pointer to offset 12, A, IN, TTL, 4-byte address.
+    msg.put(&[0xc0, 0x0c, 0, 1, 0, 1]);
+    msg.put(&[0, 0, 0x0e, 0x10]); // TTL 3600
+    msg.put(&[0, 4]);
+    msg.put_random(4, rng);
+    let mut out = S::default();
+    out.put(&(msg.written() as u16).to_be_bytes());
+    out.append(msg);
     out
 }
 
-/// An HTTP/1.1 200 response of roughly `len` bytes: realistic header
-/// block, then an HTML-ish low-entropy body filling the remainder.
-pub fn http_response(len: usize, rng: &mut impl Rng) -> Vec<u8> {
+/// An HTTP/1.1 200 response of `len` bytes: realistic header block,
+/// then an HTML-ish low-entropy body filling the remainder. Never cut
+/// shorter than its fixed head (the header block and the body's
+/// opening up to `<title>`), so a small `len` still gives a
+/// well-formed response.
+pub fn http_response<S: Sink>(len: usize, rng: &mut impl Rng) -> S {
     let etag: u32 = rng.gen();
-    let mut out = format!(
+    let mut out = S::default();
+    out.put_fmt(format_args!(
         "HTTP/1.1 200 OK\r\nServer: nginx/1.18.0\r\n\
          Content-Type: text/html; charset=utf-8\r\n\
          ETag: \"{etag:08x}\"\r\nConnection: keep-alive\r\n\r\n"
-    )
-    .into_bytes();
-    out.extend_from_slice(b"<!doctype html><html><head><title>");
-    while out.len() < len {
+    ));
+    out.put(b"<!doctype html><html><head><title>");
+    let head = out.written();
+    while out.written() < len {
         // Lowercase words separated by spaces: text-like entropy.
         let wl = rng.gen_range(2..=9);
         for _ in 0..wl {
-            out.push(rng.gen_range(b'a'..=b'z'));
+            out.put_letter(rng);
         }
-        out.push(b' ');
+        out.put(b" ");
     }
-    out.truncate(len.max(64));
+    out.truncate(len.max(head));
     out
 }
 
@@ -419,10 +523,10 @@ pub fn http_response(len: usize, rng: &mut impl Rng) -> Vec<u8> {
 /// top two bits of byte 0 forced to `11` (long header form + fixed
 /// bit), the shape of an Initial packet seen mid-path. High entropy,
 /// not in any plaintext exemption class.
-pub fn quic_like_payload(len: usize, rng: &mut impl Rng) -> Vec<u8> {
-    let mut out = vec![0u8; len.max(1)];
-    rng.fill(&mut out[..]);
-    out[0] = 0xc0 | (out[0] & 0x3f);
+pub fn quic_like_payload<S: Sink>(len: usize, rng: &mut impl Rng) -> S {
+    let mut out = S::default();
+    out.put_random(len.max(1), rng);
+    out.map_first(|b| 0xc0 | (b & 0x3f));
     out
 }
 
@@ -532,7 +636,7 @@ mod tests {
     fn server_flight_leads_with_server_hello() {
         let mut rng = StdRng::seed_from_u64(10);
         for version in [TlsVersion::V1_2, TlsVersion::V1_3] {
-            let flight = tls_server_flight(version, &mut rng);
+            let flight: Vec<u8> = tls_server_flight(version, &mut rng);
             assert_eq!(&flight[..3], &[0x16, 0x03, 0x03]);
             assert_eq!(flight[5], 0x02, "ServerHello type");
             let rec1 = u16::from_be_bytes([flight[3], flight[4]]) as usize;
@@ -547,7 +651,7 @@ mod tests {
         let banner = ssh_banner(&mut rng);
         assert!(banner.starts_with(b"SSH-2.0-"));
         assert!(banner.ends_with(b"\r\n"));
-        let kex = ssh_kexinit(&mut rng);
+        let kex: Vec<u8> = ssh_kexinit(&mut rng);
         let packet_len = u32::from_be_bytes([kex[0], kex[1], kex[2], kex[3]]) as usize;
         assert_eq!(packet_len + 4, kex.len(), "framed length");
         assert_eq!(kex[5], 0x14, "SSH_MSG_KEXINIT");
@@ -562,7 +666,7 @@ mod tests {
             let plen = u16::from_be_bytes([q[0], q[1]]) as usize;
             assert_eq!(plen + 2, q.len());
             assert_eq!(q[0], 0, "length prefix high byte is 0 (short message)");
-            let r = dns_tcp_response(&mut rng);
+            let r: Vec<u8> = dns_tcp_response(&mut rng);
             let plen = u16::from_be_bytes([r[0], r[1]]) as usize;
             assert_eq!(plen + 2, r.len());
         }
@@ -571,16 +675,26 @@ mod tests {
     #[test]
     fn quic_like_payload_has_long_header_bits() {
         let mut rng = StdRng::seed_from_u64(13);
-        let p = quic_like_payload(600, &mut rng);
+        let p: Vec<u8> = quic_like_payload(600, &mut rng);
         assert_eq!(p.len(), 600);
         assert_eq!(p[0] & 0xc0, 0xc0);
         assert!(shannon_entropy(&p) > 6.5);
     }
 
     #[test]
+    fn short_http_response_keeps_its_whole_head() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let r: Vec<u8> = http_response(100, &mut rng);
+        assert!(r.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(r.windows(4).any(|w| w == b"\r\n\r\n"), "header block cut");
+        assert!(r.ends_with(b"<title>"), "{}", r.escape_ascii());
+        assert_eq!(r.len(), 157);
+    }
+
+    #[test]
     fn http_response_is_headed_and_sized() {
         let mut rng = StdRng::seed_from_u64(14);
-        let r = http_response(500, &mut rng);
+        let r: Vec<u8> = http_response(500, &mut rng);
         assert!(r.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert_eq!(r.len(), 500);
     }

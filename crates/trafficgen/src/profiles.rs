@@ -24,7 +24,7 @@
 
 use crate::drivers::Sample;
 use crate::payload;
-use crate::payload::TlsVersion;
+use crate::payload::{Count, Sink, TlsVersion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -225,19 +225,28 @@ impl Profile {
 
     /// The server's response to the client's first payload.
     pub fn server_response(&self, rng: &mut impl Rng) -> Vec<u8> {
+        response(self.kind, rng)
+    }
+
+    /// The length of [`Profile::server_response`] without building
+    /// it: advances `rng` exactly as `server_response` would, so later
+    /// draws from `rng` are unchanged.
+    pub fn server_response_len(&self, rng: &mut impl Rng) -> usize {
+        response::<Count>(self.kind, rng).written()
+    }
+
+    /// [`Profile::server_response`] as a function of an RNG seed:
+    /// `response_synth()(key)` is the response drawn from
+    /// `StdRng::seed_from_u64(key)`, the form a
+    /// `netsim::Payload::Synth` regenerates its bytes from.
+    pub fn response_synth(&self) -> fn(u64) -> Vec<u8> {
         match self.kind {
-            Kind::Http => {
-                let len = rng.gen_range(320..=900);
-                payload::http_response(len, rng)
-            }
-            Kind::Tls12 => payload::tls_server_flight(TlsVersion::V1_2, rng),
-            Kind::Tls13 => payload::tls_server_flight(TlsVersion::V1_3, rng),
-            Kind::Ssh => payload::ssh_kexinit(rng),
-            Kind::DnsTcp => payload::dns_tcp_response(rng),
-            Kind::QuicLike => {
-                let len = rng.gen_range(200..=900);
-                payload::quic_like_payload(len, rng)
-            }
+            Kind::Http => |key| response(Kind::Http, &mut StdRng::seed_from_u64(key)),
+            Kind::Tls12 => |key| response(Kind::Tls12, &mut StdRng::seed_from_u64(key)),
+            Kind::Tls13 => |key| response(Kind::Tls13, &mut StdRng::seed_from_u64(key)),
+            Kind::Ssh => |key| response(Kind::Ssh, &mut StdRng::seed_from_u64(key)),
+            Kind::DnsTcp => |key| response(Kind::DnsTcp, &mut StdRng::seed_from_u64(key)),
+            Kind::QuicLike => |key| response(Kind::QuicLike, &mut StdRng::seed_from_u64(key)),
         }
     }
 
@@ -252,13 +261,37 @@ impl Profile {
     }
 }
 
+/// The server's response for a profile of kind `kind`, written into
+/// any sink; the one definition behind every response method.
+fn response<S: Sink>(kind: Kind, rng: &mut impl Rng) -> S {
+    match kind {
+        Kind::Http => {
+            let len = rng.gen_range(320..=900);
+            payload::http_response(len, rng)
+        }
+        Kind::Tls12 => payload::tls_server_flight(TlsVersion::V1_2, rng),
+        Kind::Tls13 => payload::tls_server_flight(TlsVersion::V1_3, rng),
+        Kind::Ssh => payload::ssh_kexinit(rng),
+        Kind::DnsTcp => payload::dns_tcp_response(rng),
+        Kind::QuicLike => {
+            let len = rng.gen_range(200..=900);
+            payload::quic_like_payload(len, rng)
+        }
+    }
+}
+
+/// The seed of [`conn_rng`]`(seed, conn_id)`: what a
+/// [`Profile::response_synth`] key is for a connection's response.
+pub fn conn_seed(seed: u64, conn_id: u64) -> u64 {
+    seed ^ conn_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Derive an independent deterministic RNG for one connection: used by
 /// the mix apps so payload bytes depend only on `(seed, conn id)`, not
 /// on event interleaving — the property that keeps the base-rate
 /// experiment byte-identical across engines and worker counts.
 pub fn conn_rng(seed: u64, conn_id: u64) -> StdRng {
-    let mixed = seed ^ conn_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    StdRng::seed_from_u64(mixed)
+    StdRng::seed_from_u64(conn_seed(seed, conn_id))
 }
 
 #[cfg(test)]
