@@ -20,6 +20,10 @@ echo "==> gfw-lint"
 # manifests, call-graph taint, SAFETY comments, hot-path arithmetic.
 cargo run -q -p gfw-lint
 
+echo "==> cargo doc -D warnings"
+# Every intra-doc link resolves, and public docs link no private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release --workspace"
 # --workspace so member binaries (exp-all, exp-impair, ...) are built
 # even from a clean checkout; the root package alone would not pull
@@ -45,10 +49,13 @@ echo "==> exp-baserate --quick smoke"
 echo "==> differential properties (crypto fast paths, event queue, bulk bytes, response synthesis, replay filter)"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the
 # AES-NI/CLMUL/SIMD hardware paths must stay byte-identical to the
-# scalar reference paths, and the timer wheel must pop exactly what a
-# BinaryHeap reference pops. Bulk segments carry a range, not bytes:
-# the bytes synthesized when one is read must equal `fill_bulk` at
-# its stream offset, under both engines and across a demotion flush.
+# scalar reference paths, whole-block CFB/CTR must equal their
+# byte-at-a-time references, stream sessions sharing one config's key
+# must equal sessions with fresh keys, and the timer wheel must pop
+# exactly what a BinaryHeap reference pops. Bulk segments carry a
+# range, not bytes: the bytes synthesized when one is read must equal
+# `fill_bulk` at its stream offset, under both engines and across a
+# demotion flush.
 cargo test -q -p sscrypto --test crypto_props
 cargo test -q -p shadowsocks --test wire_props
 cargo test -q --release -p netsim --test eventq_props

@@ -8,7 +8,7 @@
 //!
 //! ## Layout
 //!
-//! Time is bucketed into ticks of 2^[`GRANULARITY_BITS`] ns (≈65 µs —
+//! Time is bucketed into ticks of 2^`GRANULARITY_BITS` = 2^16 ns (≈65 µs —
 //! far below the simulator's millisecond-scale latencies, so ties
 //! within one tick are rare and cheap to sort). Six levels of 64 slots
 //! cover a span of 64^6 ticks (2^52 ns, ≈52 days of simulated time).

@@ -26,7 +26,7 @@ const SPARSE_MAX: usize = 1024;
 ///
 /// The filter starts **sparse**: it keeps its set-bit indices in a
 /// sorted `Vec<u64>`, and switches to the dense `m`-bit array only on
-/// the insert that would push it past [`SPARSE_MAX`] indices. Both
+/// the insert that would push it past `SPARSE_MAX` (1,024) indices. Both
 /// forms set the same bits, so [`Bloom::contains`] answers exactly as
 /// the dense array would, false positives included. This matters
 /// because the probe-reaction experiments construct a fresh server —

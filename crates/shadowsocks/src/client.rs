@@ -12,7 +12,6 @@ use crate::addr::TargetAddr;
 use crate::config::ServerConfig;
 use crate::wire::{AeadDecryptor, AeadEncryptor, StreamDecryptor, StreamEncryptor};
 use rand::Rng;
-use sscrypto::method::Kind;
 
 enum Enc {
     Stream(StreamEncryptor),
@@ -43,13 +42,17 @@ impl ClientSession {
         let method = config.method;
         let mut nonce = vec![0u8; method.iv_len()];
         rng.fill(&mut nonce[..]);
-        let enc = match method.kind() {
-            Kind::Stream => Enc::Stream(StreamEncryptor::new(method, &config.master_key, nonce)),
-            Kind::Aead => Enc::Aead(AeadEncryptor::new(method, &config.master_key, nonce)),
-        };
-        let dec = match method.kind() {
-            Kind::Stream => Dec::Stream(StreamDecryptor::new(method, &config.master_key)),
-            Kind::Aead => Dec::Aead(AeadDecryptor::new(method, &config.master_key)),
+        // A stream config carries its prepared key; both directions
+        // start from it instead of expanding the master key again.
+        let (enc, dec) = match config.stream_key() {
+            Some(key) => (
+                Enc::Stream(StreamEncryptor::with_key(key, nonce)),
+                Dec::Stream(StreamDecryptor::with_key(key.clone())),
+            ),
+            None => (
+                Enc::Aead(AeadEncryptor::new(method, &config.master_key, nonce)),
+                Dec::Aead(AeadDecryptor::new(method, &config.master_key)),
+            ),
         };
         ClientSession {
             enc,

@@ -125,13 +125,13 @@ impl ServerConn {
     pub fn open_conn(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let phase = match self.kind {
-            Kind::Stream => Phase::StreamHeader {
-                dec: StreamDecryptor::new(self.config.method, &self.config.master_key),
+        let phase = match self.config.stream_key() {
+            Some(key) => Phase::StreamHeader {
+                dec: StreamDecryptor::with_key(key.clone()),
                 plain: Vec::new(),
                 replay_checked: false,
             },
-            Kind::Aead => Phase::AeadHeader {
+            None => Phase::AeadHeader {
                 dec: AeadDecryptor::new(self.config.method, &self.config.master_key),
                 got: 0,
                 staged: Vec::new(),
@@ -394,19 +394,18 @@ impl ServerConn {
             return Vec::new();
         };
         let mut encrypted = Vec::new();
-        match self.kind {
-            Kind::Stream => {
+        match self.config.stream_key() {
+            Some(key) => {
                 if conn.stream_enc.is_none() {
                     let mut iv = vec![0u8; self.iv_len];
                     self.rng.fill(&mut iv[..]);
-                    conn.stream_enc =
-                        Some(StreamEncryptor::new(method, &self.config.master_key, iv));
+                    conn.stream_enc = Some(StreamEncryptor::with_key(key, iv));
                 }
                 if let Some(enc) = &mut conn.stream_enc {
                     enc.encrypt_into(data, &mut encrypted);
                 }
             }
-            Kind::Aead => {
+            None => {
                 if conn.aead_enc.is_none() {
                     let mut salt = vec![0u8; self.iv_len];
                     self.rng.fill(&mut salt[..]);

@@ -10,7 +10,7 @@
 use sscrypto::aead::{Aead, TAG_LEN};
 use sscrypto::cfb::Direction;
 use sscrypto::hkdf::ss_subkey;
-use sscrypto::method::{Kind, Method, StreamCipher};
+use sscrypto::method::{Kind, Method, StreamCipher, StreamKey};
 use sscrypto::AuthError;
 
 /// Maximum plaintext length of one AEAD chunk (0x3FFF per the spec).
@@ -30,12 +30,23 @@ pub struct StreamEncryptor {
 impl StreamEncryptor {
     /// Start a session with the given per-stream IV.
     ///
+    /// Prepares the key for this one stream; a config that starts many
+    /// streams prepares it once and uses [`StreamEncryptor::with_key`].
+    ///
     /// # Panics
     ///
     /// Panics if the method is not a stream method or lengths are wrong.
     pub fn new(method: Method, master_key: &[u8], iv: Vec<u8>) -> StreamEncryptor {
-        assert_eq!(method.kind(), Kind::Stream);
-        let cipher = method.new_stream(master_key, &iv, Direction::Encrypt);
+        StreamEncryptor::with_key(&method.stream_key(master_key), iv)
+    }
+
+    /// Start a session under an already prepared key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the IV length is wrong for the key's method.
+    pub fn with_key(key: &StreamKey, iv: Vec<u8>) -> StreamEncryptor {
+        let cipher = key.new_stream(&iv, Direction::Encrypt);
         StreamEncryptor {
             cipher,
             iv,
@@ -72,23 +83,33 @@ impl StreamEncryptor {
 /// machine whose "waiting for IV" phase produces the TIMEOUT column for
 /// short probes in Fig 10a.
 pub struct StreamDecryptor {
-    method: Method,
+    key: StreamKey,
     // `Method` dispatch hoisted out of the per-call path: the IV length
     // is resolved once here instead of on every `decrypt`.
     iv_len: usize,
-    master_key: Vec<u8>,
     iv_buf: Vec<u8>,
     cipher: Option<Box<dyn StreamCipher>>,
 }
 
 impl StreamDecryptor {
     /// Start a decryption session; the IV arrives with the data.
+    ///
+    /// Prepares the key for this one stream; a config that starts many
+    /// streams prepares it once and uses [`StreamDecryptor::with_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the method is not a stream method or the key length is
+    /// wrong.
     pub fn new(method: Method, master_key: &[u8]) -> StreamDecryptor {
-        assert_eq!(method.kind(), Kind::Stream);
+        StreamDecryptor::with_key(method.stream_key(master_key))
+    }
+
+    /// Start a decryption session under an already prepared key.
+    pub fn with_key(key: StreamKey) -> StreamDecryptor {
         StreamDecryptor {
-            method,
-            iv_len: method.iv_len(),
-            master_key: master_key.to_vec(),
+            iv_len: key.method().iv_len(),
+            key,
             iv_buf: Vec::new(),
             cipher: None,
         }
@@ -114,11 +135,7 @@ impl StreamDecryptor {
             self.iv_buf.extend_from_slice(&data[..take]);
             data = &data[take..];
             if self.iv_buf.len() == self.iv_len {
-                self.cipher = Some(self.method.new_stream(
-                    &self.master_key,
-                    &self.iv_buf,
-                    Direction::Decrypt,
-                ));
+                self.cipher = Some(self.key.new_stream(&self.iv_buf, Direction::Decrypt));
             }
         }
         if let Some(c) = &mut self.cipher {
@@ -235,7 +252,8 @@ const COMPACT_THRESHOLD: usize = 4096;
 ///
 /// Incoming bytes accumulate in one buffer and frames are decrypted in
 /// place there; a cursor tracks the consumed prefix, which is reclaimed
-/// lazily (see [`COMPACT_THRESHOLD`]) instead of drained per frame.
+/// lazily (once it passes `COMPACT_THRESHOLD`, 4 KiB) instead of
+/// drained per frame.
 pub struct AeadDecryptor {
     method: Method,
     // `Method` dispatch hoisted out of the per-call path: the salt

@@ -6,11 +6,17 @@
 //! same bytes must reproduce the plaintext exactly. And AEAD must stay
 //! an authenticated channel: any single-bit tamper anywhere past the
 //! salt is rejected, never silently decoded.
+//!
+//! A stream config prepares its key once and every session shares it
+//! (for AES, one expanded key schedule). Sharing must be invisible:
+//! interleaved sessions on the shared key produce exactly the bytes of
+//! sessions that each prepare the key afresh.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shadowsocks::wire::{AeadDecryptor, AeadEncryptor, StreamDecryptor, StreamEncryptor};
+use shadowsocks::{Profile, ServerConfig};
 use sscrypto::method::{Kind, Method, ALL_METHODS};
 
 fn key_for(m: Method) -> Vec<u8> {
@@ -247,5 +253,89 @@ proptest! {
             "{}: bit {} of byte {} flipped undetected",
             m.name(), flip_bit, pos
         );
+    }
+}
+
+/// One proxied connection's four stream halves: client → server and
+/// server → client.
+struct Session {
+    client_enc: StreamEncryptor,
+    server_dec: StreamDecryptor,
+    server_enc: StreamEncryptor,
+    client_dec: StreamDecryptor,
+}
+
+impl Session {
+    /// Run one exchange: the client sends `request`, the server
+    /// decrypts it and replies with `reply`, the client decrypts that.
+    /// Returns every wire and plaintext byte string in order.
+    fn exchange(&mut self, request: &[u8], reply: &[u8]) -> [Vec<u8>; 4] {
+        let up = self.client_enc.encrypt(request);
+        let got_request = self.server_dec.decrypt(&up);
+        let down = self.server_enc.encrypt(reply);
+        let got_reply = self.client_dec.decrypt(&down);
+        [up, got_request, down, got_reply]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every stream method: sessions that share one config's prepared
+    /// key, interleaved in arbitrary order, send, decrypt and reply
+    /// exactly as sessions whose keys are prepared afresh from the
+    /// master key.
+    #[test]
+    fn shared_key_sessions_match_fresh_keys(
+        sessions in 1usize..6,
+        order in proptest::collection::vec(any::<usize>(), 1..16),
+        requests in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..300),
+            16..17,
+        ),
+        replies in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..300),
+            16..17,
+        ),
+        iv_seed in any::<u64>(),
+    ) {
+        let stream_methods = ALL_METHODS.iter().filter(|m| m.kind() == Kind::Stream);
+        for &m in stream_methods {
+            let config = ServerConfig::new(m, "prop-password", Profile::LIBEV_OLD);
+            let Some(key) = config.stream_key() else {
+                return Err(TestCaseError::fail(format!("{}: no stream key", m.name())));
+            };
+            let mut rng = StdRng::seed_from_u64(iv_seed);
+            let mut shared = Vec::new();
+            let mut fresh = Vec::new();
+            for _ in 0..sessions {
+                let mut client_iv = vec![0u8; m.iv_len()];
+                rng.fill(&mut client_iv[..]);
+                let mut server_iv = vec![0u8; m.iv_len()];
+                rng.fill(&mut server_iv[..]);
+                shared.push(Session {
+                    client_enc: StreamEncryptor::with_key(key, client_iv.clone()),
+                    server_dec: StreamDecryptor::with_key(key.clone()),
+                    server_enc: StreamEncryptor::with_key(key, server_iv.clone()),
+                    client_dec: StreamDecryptor::with_key(key.clone()),
+                });
+                let master = &config.master_key;
+                fresh.push(Session {
+                    client_enc: StreamEncryptor::new(m, master, client_iv),
+                    server_dec: StreamDecryptor::new(m, master),
+                    server_enc: StreamEncryptor::new(m, master, server_iv),
+                    client_dec: StreamDecryptor::new(m, master),
+                });
+            }
+            // Exchange `k` runs on session `order[k]`, so sessions
+            // interleave on the shared key in arbitrary order.
+            for ((who, request), reply) in order.iter().zip(&requests).zip(&replies) {
+                let i = who % sessions;
+                let got = shared[i].exchange(request, reply);
+                prop_assert_eq!(&got, &fresh[i].exchange(request, reply), "{}", m.name());
+                prop_assert_eq!(&got[1], request, "{}", m.name());
+                prop_assert_eq!(&got[3], reply, "{}", m.name());
+            }
+        }
     }
 }

@@ -12,6 +12,23 @@
 //! at [`Aes::new`] time — and the key schedule itself runs on
 //! `aeskeygenassist` for 128/256-bit keys. The T-table path stays
 //! compiled as the differential oracle (`GFWSIM_NO_HWCRYPTO=1`).
+//!
+//! ## Key schedule cost
+//!
+//! An [`Aes`] keeps its round keys in fixed-size arrays and fills only
+//! the form its backend reads: on AES-NI, 128/256-bit keys never run
+//! the scalar word expansion. Setup therefore allocates nothing, which
+//! every AES-GCM session (one subkey per salt) benefits from. The
+//! stream methods go further: their key is the master key itself, so
+//! a config expands it once and every stream shares that schedule
+//! (see [`crate::method::StreamKey`]).
+//!
+//! ## Batching
+//!
+//! [`Aes::encrypt_blocks4`] is the shape of every mode whose keystream
+//! inputs are known ahead: CTR and GCM (counter blocks) and CFB
+//! decryption (the previous ciphertext blocks). CFB encryption cannot
+//! batch: each block's input is the ciphertext block just produced.
 
 use crate::hw::CpuFeatures;
 
@@ -76,19 +93,29 @@ const TE1: [u32; 256] = rotr_table(&TE0, 8);
 const TE2: [u32; 256] = rotr_table(&TE0, 16);
 const TE3: [u32; 256] = rotr_table(&TE0, 24);
 
+/// Round keys in the largest schedule (AES-256: 14 rounds plus the
+/// initial whitening key). Smaller keys leave the tail unused.
+const MAX_ROUND_KEYS: usize = 15;
+
 /// An AES key schedule, ready to encrypt blocks.
 ///
 /// Only encryption is implemented: CTR, CFB (both directions) and GCM use
 /// the forward cipher exclusively, and those are the only modes
 /// Shadowsocks needs.
+///
+/// The schedule lives in fixed-size arrays, so building one allocates
+/// nothing and cloning one is a copy. Only the form the chosen backend
+/// reads is filled in.
 #[derive(Clone)]
 pub struct Aes {
     /// One `[u32; 4]` per round: word `c` is column `c`, big-endian.
-    round_keys: Vec<[u32; 4]>,
-    /// Byte-form round keys for the AES-NI path; empty when this
-    /// instance dispatches to the scalar T-table oracle.
-    rk_bytes: Vec<[u8; 16]>,
+    /// Filled only for the scalar T-table backend.
+    round_keys: [[u32; 4]; MAX_ROUND_KEYS],
+    /// Byte-form round keys, filled only for the AES-NI backend.
+    rk_bytes: [[u8; 16]; MAX_ROUND_KEYS],
     rounds: usize,
+    /// Set when this instance dispatches to the AES-NI kernels.
+    hw: bool,
 }
 
 impl Aes {
@@ -111,91 +138,61 @@ impl Aes {
     ///
     /// Panics on invalid key lengths, like [`Aes::new`].
     pub fn with_features(key: &[u8], feat: CpuFeatures) -> Self {
-        let nk = match key.len() {
-            16 => 4,
-            24 => 6,
-            32 => 8,
+        let rounds = match key.len() {
+            16 => 10,
+            24 => 12,
+            32 => 14,
             n => panic!("invalid AES key length {n}"),
         };
-        let rounds = nk + 6;
-        let nwords = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(nwords);
-        for chunk in key.chunks_exact(4) {
-            w.push(chunk.try_into().unwrap());
-        }
-        let mut rcon = 1u8;
-        for i in nk..nwords {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= rcon;
-                rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-            }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
-        }
-        let round_keys: Vec<[u32; 4]> = w
-            .chunks_exact(4)
-            .map(|c| {
-                [
-                    u32::from_be_bytes(c[0]),
-                    u32::from_be_bytes(c[1]),
-                    u32::from_be_bytes(c[2]),
-                    u32::from_be_bytes(c[3]),
-                ]
-            })
-            .collect();
-        let rk_bytes = if feat.aes {
-            hw_round_keys(key, &round_keys)
-        } else {
-            Vec::with_capacity(0)
-        };
-        Aes {
-            round_keys,
-            rk_bytes,
+        let hw = cfg!(target_arch = "x86_64") && feat.aes;
+        let mut aes = Aes {
+            round_keys: [[0; 4]; MAX_ROUND_KEYS],
+            rk_bytes: [[0; 16]; MAX_ROUND_KEYS],
             rounds,
+            hw,
+        };
+        if hw {
+            aes.rk_bytes = hw_round_keys(key);
+        } else {
+            aes.round_keys = expand_words(key);
         }
+        aes
     }
 
     /// True when this instance dispatches to the AES-NI kernels.
     pub fn is_hw(&self) -> bool {
-        !self.rk_bytes.is_empty()
+        self.hw
+    }
+
+    /// The AES-NI round keys actually in use (`rounds + 1` of them).
+    #[cfg(target_arch = "x86_64")]
+    fn hw_keys(&self) -> &[[u8; 16]] {
+        &self.rk_bytes[..=self.rounds]
     }
 
     /// Encrypt a single 16-byte block in place.
     #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if !self.rk_bytes.is_empty() {
-            // SAFETY: rk_bytes is only populated when the construction
-            // snapshot reported AES-NI support (see `with_features`).
-            unsafe { crate::x86::aes_encrypt1(&self.rk_bytes, block) };
+        if self.hw {
+            // SAFETY: `hw` is only set when the construction snapshot
+            // reported AES-NI support (see `with_features`).
+            unsafe { crate::x86::aes_encrypt1(self.hw_keys(), block) };
             return;
         }
         self.encrypt_block_scalar(block);
     }
 
-    /// Encrypt four contiguous 16-byte blocks in place — the CTR/GCM
-    /// batch shape, pipelined on the AES-NI path.
+    /// Encrypt four contiguous 16-byte blocks in place — the batch
+    /// shape of CTR, GCM and CFB decryption, pipelined on the AES-NI
+    /// path.
     #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
     pub fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
         #[cfg(target_arch = "x86_64")]
-        if !self.rk_bytes.is_empty() {
-            // SAFETY: rk_bytes is only populated when the construction
-            // snapshot reported AES-NI support (see `with_features`).
-            unsafe { crate::x86::aes_encrypt4(&self.rk_bytes, blocks) };
+        if self.hw {
+            // SAFETY: `hw` is only set when the construction snapshot
+            // reported AES-NI support (see `with_features`).
+            unsafe { crate::x86::aes_encrypt4(self.hw_keys(), blocks) };
             return;
         }
         let mut off = 0;
@@ -251,23 +248,76 @@ impl Aes {
     }
 }
 
+/// XOR `ks` into `data` sixteen bytes at a time, each lane one `u128`.
+/// Both slices have the same length, a multiple of [`BLOCK_LEN`].
+pub(crate) fn xor_blocks(data: &mut [u8], ks: &[u8]) {
+    for (d, k) in data
+        .chunks_exact_mut(BLOCK_LEN)
+        .zip(ks.chunks_exact(BLOCK_LEN))
+    {
+        let x = lane(d) ^ lane(k);
+        d.copy_from_slice(&x.to_ne_bytes());
+    }
+}
+
+/// One 16-byte lane as a `u128` (byte order is irrelevant to XOR).
+fn lane(b: &[u8]) -> u128 {
+    let mut a = [0u8; BLOCK_LEN];
+    a.copy_from_slice(b);
+    u128::from_ne_bytes(a)
+}
+
+/// The FIPS 197 key expansion in word form (big-endian columns). The
+/// scalar backend's schedule, and the AES-NI backend's for 192-bit
+/// keys.
+fn expand_words(key: &[u8]) -> [[u32; 4]; MAX_ROUND_KEYS] {
+    let nk = key.len() / 4;
+    // Nr + 1 round keys of four words, Nr = Nk + 6.
+    let nwords = 4 * (nk + 7);
+    let mut w = [0u32; 4 * MAX_ROUND_KEYS];
+    for (word, chunk) in w.iter_mut().zip(key.chunks_exact(4)) {
+        *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    let mut rcon = 1u8;
+    for i in nk..nwords {
+        let mut temp = w[i - 1];
+        if i % nk == 0 {
+            temp = sub_bytes(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
+            rcon = xtime(rcon);
+        } else if nk > 6 && i % nk == 4 {
+            temp = sub_bytes(temp);
+        }
+        w[i] = w[i - nk] ^ temp;
+    }
+    let mut rk = [[0u32; 4]; MAX_ROUND_KEYS];
+    for (r, c) in rk.iter_mut().zip(w.chunks_exact(4)) {
+        *r = [c[0], c[1], c[2], c[3]];
+    }
+    rk
+}
+
+/// SubWord: the S-box applied to each byte of a word.
+fn sub_bytes(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
 /// Byte-form round keys for the AES-NI path. 128/256-bit keys run the
-/// `aeskeygenassist` schedule; 192-bit keys (whose SSE schedule needs
-/// an awkward 6-word stride) reuse the scalar word expansion — the
-/// schedule is key-setup-time, not hot, and `hw_schedule_matches_scalar`
-/// pins all three sizes to the same round keys.
+/// `aeskeygenassist` schedule alone; 192-bit keys (whose SSE schedule
+/// needs an awkward 6-word stride) serialize the scalar word expansion
+/// instead. `hw_schedule_matches_scalar` pins all three sizes to the
+/// same round keys.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
-fn hw_round_keys(key: &[u8], words: &[[u32; 4]]) -> Vec<[u8; 16]> {
+fn hw_round_keys(key: &[u8]) -> [[u8; 16]; MAX_ROUND_KEYS] {
     match key.len() {
         16 => {
             let mut k = [0u8; 16];
             k.copy_from_slice(key);
+            let mut rk = [[0u8; 16]; MAX_ROUND_KEYS];
             // SAFETY: only called when the construction snapshot
             // reported AES-NI support (`feat.aes`).
-            unsafe { crate::x86::aes128_schedule(&k) }
-                .into_iter()
-                .collect()
+            rk[..11].copy_from_slice(&unsafe { crate::x86::aes128_schedule(&k) });
+            rk
         }
         32 => {
             let mut k = [0u8; 32];
@@ -275,34 +325,28 @@ fn hw_round_keys(key: &[u8], words: &[[u32; 4]]) -> Vec<[u8; 16]> {
             // SAFETY: only called when the construction snapshot
             // reported AES-NI support (`feat.aes`).
             unsafe { crate::x86::aes256_schedule(&k) }
-                .into_iter()
-                .collect()
         }
-        _ => words_to_bytes(words),
+        _ => words_to_bytes(&expand_words(key)),
     }
 }
 
-/// `feat.aes` is never set off x86_64, so this is dead; it exists so
+/// `hw` is never set off x86_64, so this is dead; it exists so
 /// `with_features` compiles unconditionally.
 #[cfg(not(target_arch = "x86_64"))]
-fn hw_round_keys(_key: &[u8], _words: &[[u32; 4]]) -> Vec<[u8; 16]> {
-    Vec::with_capacity(0)
+fn hw_round_keys(key: &[u8]) -> [[u8; 16]; MAX_ROUND_KEYS] {
+    words_to_bytes(&expand_words(key))
 }
 
 /// Serialize word-form round keys (big-endian columns) to the raw byte
 /// form `aesenc` consumes.
-#[cfg(target_arch = "x86_64")]
-fn words_to_bytes(words: &[[u32; 4]]) -> Vec<[u8; 16]> {
-    words
-        .iter()
-        .map(|w| {
-            let mut b = [0u8; 16];
-            for (chunk, col) in b.chunks_exact_mut(4).zip(w) {
-                chunk.copy_from_slice(&col.to_be_bytes());
-            }
-            b
-        })
-        .collect()
+fn words_to_bytes(words: &[[u32; 4]; MAX_ROUND_KEYS]) -> [[u8; 16]; MAX_ROUND_KEYS] {
+    let mut out = [[0u8; 16]; MAX_ROUND_KEYS];
+    for (b, w) in out.iter_mut().zip(words) {
+        for (chunk, col) in b.chunks_exact_mut(4).zip(w) {
+            chunk.copy_from_slice(&col.to_be_bytes());
+        }
+    }
+    out
 }
 
 fn be32(b: &[u8; 16], i: usize) -> u32 {
@@ -405,13 +449,16 @@ mod tests {
             let key: Vec<u8> = (0..len as u8)
                 .map(|b| b.wrapping_mul(37).wrapping_add(11))
                 .collect();
-            let aes = Aes::with_features(&key, feat);
-            assert_eq!(aes.rk_bytes.len(), aes.rounds + 1);
+            let hw = Aes::with_features(&key, feat);
+            let scalar = Aes::with_features(&key, CpuFeatures::none());
+            assert_eq!(hw.rounds, scalar.rounds);
             assert_eq!(
-                aes.rk_bytes,
-                words_to_bytes(&aes.round_keys),
+                hw.rk_bytes,
+                words_to_bytes(&scalar.round_keys),
                 "key len {len}"
             );
+            // Unused tail slots stay zero, so the whole arrays compare.
+            assert!(hw.rk_bytes[hw.rounds + 1..].iter().all(|k| *k == [0; 16]));
         }
     }
 

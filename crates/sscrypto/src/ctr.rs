@@ -3,15 +3,23 @@
 //! Backs the `aes-128-ctr` / `aes-192-ctr` / `aes-256-ctr` Shadowsocks
 //! stream-cipher methods: the 16-byte IV that starts each stream is the
 //! initial counter block, incremented big-endian per block.
+//!
+//! As in [`crate::cfb`], a stream holds its key schedule behind an
+//! [`Arc`] so every stream of one config shares one expansion
+//! ([`AesCtr::with_schedule`]). Counter blocks are all known in
+//! advance, so whole blocks are generated four per
+//! [`Aes::encrypt_blocks4`] call and XORed as `u128` lanes; only a
+//! partial head and tail go byte by byte.
 
-use crate::aes::Aes;
+use crate::aes::{xor_blocks, Aes, BLOCK_LEN};
 use crate::hw::CpuFeatures;
+use std::sync::Arc;
 
 /// Incremental CTR-mode keystream cipher. Encryption and decryption are
 /// the same operation (XOR with the keystream).
 #[derive(Clone)]
 pub struct AesCtr {
-    aes: Aes,
+    aes: Arc<Aes>,
     counter: [u8; 16],
     keystream: [u8; 16],
     used: usize,
@@ -27,32 +35,59 @@ impl AesCtr {
     /// [`AesCtr::new`] with an explicit feature snapshot for the AES
     /// backend (differential tests pass [`CpuFeatures::none`]).
     pub fn with_features(key: &[u8], iv: &[u8; 16], feat: CpuFeatures) -> Self {
+        Self::with_schedule(Arc::new(Aes::with_features(key, feat)), iv)
+    }
+
+    /// Start a stream on an already expanded key schedule, shared with
+    /// every other stream under the same key.
+    pub fn with_schedule(aes: Arc<Aes>, iv: &[u8; 16]) -> Self {
         AesCtr {
-            aes: Aes::with_features(key, feat),
+            aes,
             counter: *iv,
             keystream: [0; 16],
-            used: 16, // force generation on first use
+            used: BLOCK_LEN, // force generation on first use
         }
     }
 
-    fn next_keystream(&mut self) {
-        self.keystream = self.aes.encrypt(&self.counter);
-        // Increment the counter block as a 128-bit big-endian integer.
-        for b in self.counter.iter_mut().rev() {
-            *b = b.wrapping_add(1);
-            if *b != 0 {
-                break;
-            }
-        }
-        self.used = 0;
+    /// The current counter block; advances the counter as a 128-bit
+    /// big-endian integer.
+    fn take_counter(&mut self) -> [u8; 16] {
+        let block = self.counter;
+        self.counter = u128::from_be_bytes(block).wrapping_add(1).to_be_bytes();
+        block
     }
 
     /// XOR the keystream into `data` in place. Stateful: successive calls
     /// continue the stream.
     pub fn apply(&mut self, data: &mut [u8]) {
+        // `used < 16` only mid-block; a fresh block starts at 16.
+        let head = data.len().min(BLOCK_LEN - self.used);
+        let (head, rest) = data.split_at_mut(head);
+        self.apply_bytes(head);
+        let mut quads = rest.chunks_exact_mut(4 * BLOCK_LEN);
+        for quad in quads.by_ref() {
+            let mut ks = [0u8; 4 * BLOCK_LEN];
+            for block in ks.chunks_exact_mut(BLOCK_LEN) {
+                block.copy_from_slice(&self.take_counter());
+            }
+            self.aes.encrypt_blocks4(&mut ks);
+            xor_blocks(quad, &ks);
+        }
+        let mut blocks = quads.into_remainder().chunks_exact_mut(BLOCK_LEN);
+        for block in blocks.by_ref() {
+            let counter = self.take_counter();
+            xor_blocks(block, &self.aes.encrypt(&counter));
+        }
+        self.apply_bytes(blocks.into_remainder());
+    }
+
+    /// The byte-at-a-time path, for partial blocks.
+    fn apply_bytes(&mut self, data: &mut [u8]) {
         for byte in data {
-            if self.used == 16 {
-                self.next_keystream();
+            if self.used == BLOCK_LEN {
+                let counter = self.take_counter();
+                self.keystream = self.aes.encrypt(&counter);
+                self.used = 0;
             }
             *byte ^= self.keystream[self.used];
             self.used = self.used.wrapping_add(1);

@@ -2,7 +2,8 @@
 //!
 //! The crate carries two implementations of its hot primitives: the
 //! portable scalar code from the batching work (always compiled, used as
-//! the differential oracle) and `std::arch` fast paths in [`crate::x86`].
+//! the differential oracle) and `std::arch` fast paths in the private
+//! `x86` module.
 //! Which one a cipher uses is decided **once per cipher instantiation**
 //! by snapshotting [`CpuFeatures::get`] — never inside a per-block loop.
 //!

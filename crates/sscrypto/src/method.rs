@@ -7,12 +7,14 @@
 //! exactly by this value.
 
 use crate::aead::{Aead, ChaCha20Poly1305, XChaCha20Poly1305};
+use crate::aes::Aes;
 use crate::cfb::{AesCfb, Direction};
 use crate::chacha20::{ChaCha20, ChaCha20Legacy};
 use crate::ctr::AesCtr;
 use crate::gcm::AesGcm;
 use crate::hw::CpuFeatures;
 use crate::rc4::{rc4_md5, Rc4};
+use std::sync::Arc;
 
 /// Whether a method uses the stream construction or the AEAD construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -176,6 +178,27 @@ impl Method {
         dir: Direction,
         feat: CpuFeatures,
     ) -> Box<dyn StreamCipher> {
+        self.stream_key_with(key, feat).new_stream(iv, dir)
+    }
+
+    /// Check and prepare a stream method's key once, for any number of
+    /// streams (see [`StreamKey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on an AEAD method or on a key of the wrong
+    /// length.
+    pub fn stream_key(&self, key: &[u8]) -> StreamKey {
+        self.stream_key_with(key, CpuFeatures::get())
+    }
+
+    /// [`Method::stream_key`] with an explicit feature snapshot, which
+    /// every stream started from the key inherits.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Method::stream_key`].
+    pub fn stream_key_with(&self, key: &[u8], feat: CpuFeatures) -> StreamKey {
         assert_eq!(
             self.kind(),
             Kind::Stream,
@@ -188,27 +211,21 @@ impl Method {
             "bad key length for {}",
             self.name()
         );
-        assert_eq!(iv.len(), self.iv_len(), "bad IV length for {}", self.name());
-        match self {
+        let material = match self {
             Method::Aes128Ctr | Method::Aes192Ctr | Method::Aes256Ctr => {
-                Box::new(AesCtr::with_features(key, iv.try_into().unwrap(), feat))
+                KeyMaterial::AesCtr(Arc::new(Aes::with_features(key, feat)))
             }
-            Method::Aes128Cfb | Method::Aes192Cfb | Method::Aes256Cfb => Box::new(
-                AesCfb::with_features(key, iv.try_into().unwrap(), dir, feat),
-            ),
-            Method::ChaCha20 => Box::new(ChaCha20Legacy::with_features(
-                key.try_into().unwrap(),
-                iv.try_into().unwrap(),
-                feat,
-            )),
-            Method::ChaCha20Ietf => Box::new(ChaCha20::with_features(
-                key.try_into().unwrap(),
-                iv.try_into().unwrap(),
-                0,
-                feat,
-            )),
-            Method::Rc4Md5 => Box::new(rc4_md5(key, iv)),
+            Method::Aes128Cfb | Method::Aes192Cfb | Method::Aes256Cfb => {
+                KeyMaterial::AesCfb(Arc::new(Aes::with_features(key, feat)))
+            }
+            Method::ChaCha20 => KeyMaterial::ChaCha20Legacy(fixed(key), feat),
+            Method::ChaCha20Ietf => KeyMaterial::ChaCha20Ietf(fixed(key), feat),
+            Method::Rc4Md5 => KeyMaterial::Rc4Md5(fixed(key)),
             _ => unreachable!(),
+        };
+        StreamKey {
+            method: *self,
+            material,
         }
     }
 
@@ -277,6 +294,89 @@ impl Method {
             Method::Rc4Md5 => false,
         }
     }
+}
+
+/// A stream method's key, checked once and prepared for any number of
+/// streams.
+///
+/// A stream method's cipher key is the password-derived master key
+/// itself; only the IV differs between streams. So whatever depends on
+/// the key alone is done here, once: for the AES methods that is the
+/// key schedule, which every stream shares through an [`Arc`]. A
+/// Shadowsocks config builds one `StreamKey` and starts each client,
+/// server and reply stream from it with [`StreamKey::new_stream`].
+///
+/// The feature snapshot taken when the key was built picks the backend
+/// of every stream started from it.
+#[derive(Clone)]
+pub struct StreamKey {
+    method: Method,
+    material: KeyMaterial,
+}
+
+/// Per-method key material: exactly what a stream needs besides its IV.
+#[derive(Clone)]
+enum KeyMaterial {
+    AesCtr(Arc<Aes>),
+    AesCfb(Arc<Aes>),
+    ChaCha20Legacy([u8; 32], CpuFeatures),
+    ChaCha20Ietf([u8; 32], CpuFeatures),
+    /// rc4-md5 hashes key and IV together, so each stream keys its own
+    /// RC4 state.
+    Rc4Md5([u8; 16]),
+}
+
+impl StreamKey {
+    /// The method this key belongs to.
+    pub fn method(&self) -> Method {
+        self.method
+    }
+
+    /// Start one stream under this key.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an IV of the wrong length for the method.
+    pub fn new_stream(&self, iv: &[u8], dir: Direction) -> Box<dyn StreamCipher> {
+        assert_eq!(
+            iv.len(),
+            self.method.iv_len(),
+            "bad IV length for {}",
+            self.method.name()
+        );
+        match &self.material {
+            KeyMaterial::AesCtr(aes) => {
+                Box::new(AesCtr::with_schedule(Arc::clone(aes), &fixed(iv)))
+            }
+            KeyMaterial::AesCfb(aes) => {
+                Box::new(AesCfb::with_schedule(Arc::clone(aes), &fixed(iv), dir))
+            }
+            KeyMaterial::ChaCha20Legacy(key, feat) => {
+                Box::new(ChaCha20Legacy::with_features(key, &fixed(iv), *feat))
+            }
+            KeyMaterial::ChaCha20Ietf(key, feat) => {
+                Box::new(ChaCha20::with_features(key, &fixed(iv), 0, *feat))
+            }
+            KeyMaterial::Rc4Md5(key) => Box::new(rc4_md5(key, iv)),
+        }
+    }
+}
+
+impl std::fmt::Debug for StreamKey {
+    /// Names the method only; key material is never printed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamKey")
+            .field("method", &self.method)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Copy a slice whose length the caller has already checked into an
+/// array.
+fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
 }
 
 /// Object-safe stateful stream cipher: XOR-in-place, continuing the

@@ -11,7 +11,7 @@
 //! ## Determinism across engines and worker counts
 //!
 //! Every payload byte generated here depends only on `(spec.seed,
-//! connection id)` via [`profiles::conn_rng`] — the apps never draw
+//! connection id)` via [`crate::profiles::conn_rng`] — the apps never draw
 //! from the shared simulator RNG. Connection ids are allocated at
 //! schedule-build time, before the event loop runs, so the hybrid
 //! engine's different event stream (fluid completions instead of
