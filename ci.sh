@@ -48,8 +48,9 @@ echo "==> exp-baserate --quick smoke"
 
 echo "==> differential properties (crypto fast paths, event queue, bulk bytes, response synthesis, replay filter)"
 # Batched ChaCha20/Poly1305, tabled GHASH, the zero-copy codec and the
-# AES-NI/CLMUL/SIMD hardware paths must stay byte-identical to the
-# scalar reference paths, whole-block CFB/CTR must equal their
+# AES-NI/CLMUL/SIMD/SHA-NI hardware paths must stay byte-identical to
+# the scalar reference paths, HKDF over keyed HMAC states must equal
+# the generic HMAC/HKDF oracle, whole-block CFB/CTR must equal their
 # byte-at-a-time references, stream sessions sharing one config's key
 # must equal sessions with fresh keys, and the timer wheel must pop
 # exactly what a BinaryHeap reference pops. Bulk segments carry a

@@ -77,34 +77,52 @@ fn fill_histogram_portable(data: &[u8], counts: &mut [u32; 256]) {
     }
 }
 
+/// The number of symbols present in `counts`, and `Σ c·log2(c)` over
+/// them, added in symbol order.
+///
+/// Counts of 0 and 1 add exactly `+0.0` (their table entries), and
+/// adding `+0.0` to a non-negative sum changes no bit, so only counts
+/// of 2 or more are added. A first pass packs those counts, in symbol
+/// order, without a branch; the second adds their terms in that order,
+/// the order the old branch-per-symbol loop added them, so the sum is
+/// bit-identical to it (`fold_matches_branching_oracle`). The branch on
+/// `c > 0` mispredicted on short payloads, where most symbols occur
+/// once or not at all.
+fn fold_counts(counts: &[u32; 256]) -> (u32, f64) {
+    let mut kept = [0u32; 256];
+    let mut n_kept = 0usize;
+    let mut distinct = 0u32;
+    for &c in counts {
+        // `n_kept` never passes the index of `c`, so this is in bounds.
+        kept[n_kept] = c;
+        n_kept += usize::from(c >= 2);
+        distinct += u32::from(c > 0);
+    }
+    let sum = kept[..n_kept]
+        .iter()
+        .fold(0.0f64, |acc, &c| acc + xlogx(c as usize));
+    (distinct, sum)
+}
+
 fn entropy_impl(data: &[u8], hw: bool) -> f64 {
     let n = data.len();
     if n == 0 {
         return 0.0;
     }
-    let mut distinct = 0u32;
-    let mut sum_xlogx = 0.0f64;
+    let mut counts = [0u32; 256];
     if n < 1024 {
         // Short payloads: a single histogram. Zero-initializing four
         // interleaved sub-histograms (4 KiB) costs more than it saves
         // below roughly a kilobyte of input.
-        let mut counts = [0u32; 256];
         for &b in data {
             counts[b as usize] += 1;
-        }
-        for &c in counts.iter() {
-            if c > 0 {
-                distinct += 1;
-                sum_xlogx += xlogx(c as usize);
-            }
         }
     } else {
         // Long payloads: interleaved sub-histograms — AVX2-merged when
         // the CPU allows it, portable otherwise. Only the integer
         // counting is dispatched; the xlogx accumulation below is the
-        // same sequential loop on both paths, so entropy scores are
+        // same sequential fold on both paths, so entropy scores are
         // bit-identical (see `crate::simd`).
-        let mut counts = [0u32; 256];
         #[cfg(target_arch = "x86_64")]
         if hw {
             crate::simd::fill_histogram(data, &mut counts);
@@ -116,13 +134,8 @@ fn entropy_impl(data: &[u8], hw: bool) -> f64 {
             let _ = hw;
             fill_histogram_portable(data, &mut counts);
         }
-        for &c in counts.iter() {
-            if c > 0 {
-                distinct += 1;
-                sum_xlogx += xlogx(c as usize);
-            }
-        }
     }
+    let (distinct, sum_xlogx) = fold_counts(&counts);
     // A single-symbol payload is exactly zero; the closed form would
     // only reproduce that up to rounding.
     if distinct <= 1 {
@@ -145,6 +158,50 @@ pub fn max_entropy_for_len(len: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The branch-per-symbol loop `fold_counts` replaced: the oracle.
+    fn fold_counts_branching(counts: &[u32; 256]) -> (u32, f64) {
+        let mut distinct = 0u32;
+        let mut sum_xlogx = 0.0f64;
+        for &c in counts.iter() {
+            if c > 0 {
+                distinct += 1;
+                sum_xlogx += xlogx(c as usize);
+            }
+        }
+        (distinct, sum_xlogx)
+    }
+
+    /// A histogram in which each symbol's count is drawn from one of
+    /// four bands: absent, one, within the `xlogx` table, or past it.
+    fn histogram() -> impl Strategy<Value = [u32; 256]> {
+        let count = prop_oneof![
+            Just(0u32),
+            Just(1u32),
+            2u32..XLOGX_TABLE_LEN as u32,
+            XLOGX_TABLE_LEN as u32..1_000_000,
+        ];
+        proptest::collection::vec(count, 256).prop_map(|v| {
+            let mut counts = [0u32; 256];
+            counts.copy_from_slice(&v);
+            counts
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The branch-free fold gives the oracle's distinct count and
+        /// the very same bits of `Σ c·log2(c)`.
+        #[test]
+        fn fold_matches_branching_oracle(counts in histogram()) {
+            let (d, sum) = fold_counts(&counts);
+            let (d_old, sum_old) = fold_counts_branching(&counts);
+            prop_assert_eq!(d, d_old);
+            prop_assert_eq!(sum.to_bits(), sum_old.to_bits());
+        }
+    }
 
     #[test]
     fn constant_data_has_zero_entropy() {

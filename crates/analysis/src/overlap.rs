@@ -5,7 +5,7 @@
 //! 934 addresses) and finds only slight overlap — evidence of high
 //! churn in the prober pool.
 
-use std::collections::HashSet;
+use netsim::hash::HashSet;
 use std::hash::Hash;
 
 /// Pairwise and triple intersection sizes of three sets, i.e. the seven

@@ -1,7 +1,7 @@
 //! Empirical distributions: CDFs, histograms, and top-k counting — the
 //! presentation layer of every figure in the paper's evaluation.
 
-use std::collections::HashMap;
+use netsim::hash::HashMap;
 use std::hash::Hash;
 
 /// Empirical cumulative distribution over `f64` samples.
@@ -110,7 +110,7 @@ pub fn top_k<T: Eq + Hash + Clone + Ord>(
     items: impl IntoIterator<Item = T>,
     k: usize,
 ) -> Vec<(T, u64)> {
-    let mut counts: HashMap<T, u64> = HashMap::new();
+    let mut counts: HashMap<T, u64> = HashMap::default();
     for it in items {
         *counts.entry(it).or_insert(0) += 1;
     }

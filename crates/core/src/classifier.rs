@@ -8,9 +8,9 @@
 //! kind of statistical matching.
 
 use crate::probe::{ProbeKind, Reaction};
+use netsim::hash::HashMap;
 use netsim::packet::SocketAddr;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// What the classifier concludes about one server.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]

@@ -17,13 +17,13 @@
 
 use analysis::asn::AS_TABLE;
 use netsim::conn::TcpTuning;
+use netsim::hash::HashSet;
 use netsim::host::{HostConfig, IpIdPolicy, PortPolicy, TsClock};
 use netsim::packet::Ipv4;
 use netsim::sim::Simulator;
 use netsim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Fleet configuration.
 #[derive(Clone, Debug)]
@@ -100,7 +100,7 @@ impl Fleet {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_weight: f64 = AS_TABLE.iter().map(|e| e.paper_count as f64).sum();
         let mut pool = Vec::with_capacity(config.pool_size);
-        let mut used: HashSet<Ipv4> = HashSet::new();
+        let mut used: HashSet<Ipv4> = HashSet::default();
         while pool.len() < config.pool_size {
             // Sample an AS proportionally to its Table 3 share, then a
             // random address inside one of its /16s.
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn fig3_most_ips_probe_more_than_once() {
         let (_sim, mut f) = fleet(16_000);
-        let mut counts: std::collections::HashMap<Ipv4, u32> = std::collections::HashMap::new();
+        let mut counts: netsim::hash::HashMap<Ipv4, u32> = netsim::hash::HashMap::default();
         for _ in 0..51_837 {
             let s = f.assign(SimTime::ZERO);
             *counts.entry(s.ip).or_insert(0) += 1;

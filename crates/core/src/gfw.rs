@@ -19,6 +19,7 @@ use crate::probe::{ProbeRecord, Reaction};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use netsim::app::{App, AppEvent, AppId, Ctx};
 use netsim::conn::ConnId;
+use netsim::hash::{HashMap, HashSet};
 use netsim::packet::{Ipv4, Packet, SocketAddr};
 use netsim::sim::Simulator;
 use netsim::tap::{Tap, TapCtx, Verdict as TapVerdict};
@@ -26,7 +27,6 @@ use netsim::time::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Ground-truth-aware outcome counters for the passive stage.
@@ -166,18 +166,18 @@ impl Gfw {
             classifier: Classifier::new(),
             fleet,
             probe_log: Vec::new(),
-            conn_track: HashMap::new(),
+            conn_track: HashMap::default(),
             inspected: 0,
             verdicts: VerdictCounters::default(),
-            truth: HashSet::new(),
-            stored_by_server: HashMap::new(),
+            truth: HashSet::default(),
+            stored_by_server: HashMap::default(),
             orders_armed: None,
             rng: StdRng::seed_from_u64(seed),
             controller: AppId(u32::MAX),
         }));
         let controller = sim.add_app(Box::new(GfwController {
             state: state.clone(),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             probe_timeout_secs: (5, 9),
             probe_retries: config.fleet.probe_retries,
         }));

@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn nr1_lengths_fall_in_trios() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = netsim::hash::HashSet::default();
         for _ in 0..2000 {
             let p = build_payload(ProbeKind::Nr1, None, &mut rng);
             assert!(is_nr1_len(p.len()), "len {}", p.len());

@@ -19,10 +19,10 @@
 use crate::delay::DelayModel;
 use crate::probe::ProbeKind;
 use netsim::eventq::EventQueue;
+use netsim::hash::HashMap;
 use netsim::packet::SocketAddr;
 use netsim::time::{Duration, SimTime};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Scheduler tuning knobs.
 #[derive(Clone, Debug)]
@@ -99,7 +99,7 @@ impl Scheduler {
         Scheduler {
             config,
             delay_model: DelayModel,
-            servers: HashMap::new(),
+            servers: HashMap::default(),
             queue: EventQueue::new(),
             next_trigger_id: 0,
         }
@@ -426,7 +426,7 @@ mod tests {
             s.on_stored_payload(SimTime::ZERO, server(), &p, &mut rng);
         }
         let orders = s.pop_due(SimTime(u64::MAX / 2));
-        let kinds: std::collections::HashSet<_> = orders.iter().map(|o| o.kind).collect();
+        let kinds: netsim::hash::HashSet<_> = orders.iter().map(|o| o.kind).collect();
         assert!(kinds.contains(&ProbeKind::R3));
         assert!(kinds.contains(&ProbeKind::R4));
         assert!(kinds.contains(&ProbeKind::R1));

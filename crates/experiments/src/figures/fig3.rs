@@ -8,8 +8,8 @@ use crate::report::Comparison;
 use crate::runs::{shadowsocks_run, SsRunConfig};
 use crate::Scale;
 use gfw_core::probe::ProbeRecord;
+use netsim::hash::HashMap;
 use netsim::packet::Ipv4;
-use std::collections::HashMap;
 
 /// Result of the Fig 3 analysis.
 pub struct Fig3 {
@@ -68,7 +68,7 @@ impl std::fmt::Display for Fig3 {
             self.max_count()
         )?;
         // Distribution histogram (count-of-counts).
-        let mut dist: HashMap<u64, usize> = HashMap::new();
+        let mut dist: HashMap<u64, usize> = HashMap::default();
         for &c in self.per_ip.values() {
             *dist.entry(c).or_insert(0) += 1;
         }
@@ -84,7 +84,7 @@ impl std::fmt::Display for Fig3 {
 
 /// Analyze probe records.
 pub fn analyze(probes: &[ProbeRecord]) -> Fig3 {
-    let mut per_ip = HashMap::new();
+    let mut per_ip = HashMap::default();
     for p in probes {
         *per_ip.entry(p.src).or_insert(0u64) += 1;
     }

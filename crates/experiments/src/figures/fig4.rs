@@ -11,10 +11,10 @@ use crate::report::Comparison;
 use crate::Scale;
 use analysis::overlap::{venn3, Venn3};
 use gfw_core::fleet::{Fleet, FleetConfig};
+use netsim::hash::HashSet;
 use netsim::packet::Ipv4;
 use netsim::sim::{SimConfig, Simulator};
 use netsim::time::SimTime;
-use std::collections::HashSet;
 
 /// Result of the epoch-overlap experiment.
 pub struct Fig4 {

@@ -88,7 +88,7 @@ pub fn analyze(syns: &[SynObs]) -> Fig6 {
     let unique_ips = syns
         .iter()
         .map(|s| s.src)
-        .collect::<std::collections::HashSet<_>>()
+        .collect::<netsim::hash::HashSet<_>>()
         .len();
     Fig6 {
         processes: cluster(obs, 2_000.0),

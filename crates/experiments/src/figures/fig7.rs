@@ -11,7 +11,7 @@ use crate::runs::{shadowsocks_run, SsRunConfig};
 use crate::Scale;
 use analysis::stats::Cdf;
 use gfw_core::probe::ProbeRecord;
-use std::collections::HashMap;
+use netsim::hash::HashMap;
 
 /// Result of the Fig 7 analysis.
 pub struct Fig7 {
@@ -99,7 +99,7 @@ impl std::fmt::Display for Fig7 {
 /// Analyze probe records.
 pub fn analyze(probes: &[ProbeRecord]) -> Fig7 {
     let mut all = Vec::new();
-    let mut first: HashMap<u64, f64> = HashMap::new();
+    let mut first: HashMap<u64, f64> = HashMap::default();
     for p in probes {
         let (Some(delay), Some(tid)) = (p.trigger_delay, p.trigger_id) else {
             continue;

@@ -97,7 +97,7 @@ impl std::fmt::Display for Fig8 {
 /// occurrence-weighted shares are dominated by that variance at small
 /// scale.
 pub fn analyze(probes: &[ProbeRecord], triggers: usize) -> Fig8 {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = netsim::hash::HashSet::default();
     let replay_lens = probes
         .iter()
         .filter(|p| p.kind == ProbeKind::R1)

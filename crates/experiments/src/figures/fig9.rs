@@ -8,9 +8,9 @@
 use crate::report::Comparison;
 use crate::runs::{sink_run, SinkExp, SinkRunConfig};
 use crate::Scale;
+use netsim::hash::HashMap;
 use netsim::packet::Payload;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// Result of the Fig 9 analysis.
 pub struct Fig9 {
@@ -156,13 +156,13 @@ mod tests {
     /// The matching this figure used before it keyed by bytes: SHA-256
     /// digests, with a separate set so each stored payload counts once.
     fn replayed_entropy_by_digest(triggers: &[Payload], prober_payloads: &[Payload]) -> Vec<f64> {
-        let mut digest_entropy = HashMap::new();
+        let mut digest_entropy = HashMap::default();
         for p in triggers {
             let payload = p.bytes();
             let e = analysis::shannon_entropy(&payload);
             digest_entropy.insert(sscrypto::sha256::sha256(&payload), e);
         }
-        let mut counted = std::collections::HashSet::new();
+        let mut counted = netsim::hash::HashSet::default();
         let mut out = Vec::new();
         for p in prober_payloads {
             let digest = sscrypto::sha256::sha256(&p.bytes());

@@ -7,7 +7,7 @@ use crate::report::{Comparison, Table};
 use crate::runs::{shadowsocks_run, SsRunConfig};
 use crate::Scale;
 use gfw_core::probe::ProbeRecord;
-use std::collections::{HashMap, HashSet};
+use netsim::hash::{HashMap, HashSet};
 
 /// Result: unique prober addresses per AS.
 pub struct Table3 {
@@ -70,7 +70,7 @@ impl std::fmt::Display for Table3 {
 /// Analyze probe records.
 pub fn analyze(probes: &[ProbeRecord]) -> Table3 {
     let unique: HashSet<_> = probes.iter().map(|p| p.src).collect();
-    let mut per_as: HashMap<u32, usize> = HashMap::new();
+    let mut per_as: HashMap<u32, usize> = HashMap::default();
     for ip in &unique {
         if let Some(e) = analysis::asn::lookup(*ip) {
             *per_as.entry(e.asn).or_insert(0) += 1;

@@ -18,6 +18,7 @@ use gfw_core::{Gfw, GfwConfig};
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::capture::Capture;
 use netsim::conn::{ConnId, TcpTuning};
+use netsim::hash::HashMap;
 use netsim::host::HostConfig;
 use netsim::packet::{Ipv4, Payload, SocketAddr};
 use netsim::time::{Duration, SimTime};
@@ -27,7 +28,6 @@ use rand::{Rng, SeedableRng};
 use shadowsocks::apps::{RespondingServerApp, SinkServerApp, SsServerApp};
 use shadowsocks::{ClientSession, Profile, ServerConfig, TargetAddr};
 use sscrypto::method::Method;
-use std::collections::HashMap;
 
 /// Configuration of the §3.1-style run.
 #[derive(Clone, Debug)]
@@ -238,7 +238,7 @@ pub fn build_ss_world(cfg: &SsRunConfig) -> SsWorld {
         target: TargetAddr::Ipv4(web_ip.0, 443),
         payload_len,
         rng: StdRng::seed_from_u64(cfg.seed ^ 0xD2),
-        sessions: HashMap::new(),
+        sessions: HashMap::default(),
     }));
 
     SsWorld {

@@ -319,7 +319,10 @@ fn called_names<'a>(
 
 /// Names in this file bound to a `HashMap`/`HashSet` (let bindings,
 /// struct fields, fn params — any `name: Hash{Map,Set}<` or
-/// `name = Hash{Map,Set}::` shape on a single line).
+/// `name = Hash{Map,Set}::` shape on a single line). The type may be
+/// path-qualified (`netsim::hash::HashMap`, `std::collections::HashSet`):
+/// the simulation crates' fixed-hasher aliases keep the std names so
+/// this match covers them.
 fn map_typed_names(file: &SourceFile) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for line in &file.lines {
@@ -332,8 +335,8 @@ fn map_typed_names(file: &SourceFile) -> BTreeSet<String> {
                 if !has_token(code, marker) {
                     continue;
                 }
-                // Look left for `name :` or `name =`.
-                let before = code[..at].trim_end();
+                // Look left, past any path, for `name :` or `name =`.
+                let before = strip_path(code[..at].trim_end()).trim_end();
                 let before = before
                     .strip_suffix(':')
                     .or_else(|| before.strip_suffix("::<").map(|b| b.trim_end()))
@@ -359,6 +362,19 @@ fn map_typed_names(file: &SourceFile) -> BTreeSet<String> {
     names
 }
 
+/// `text` without its trailing path segments (`netsim::hash::`,
+/// `std::collections::`), so a qualified type reads as a bare one.
+fn strip_path(mut text: &str) -> &str {
+    while let Some(rest) = text.strip_suffix("::") {
+        let seg = rest.trim_end_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        if seg.len() == rest.len() {
+            break;
+        }
+        text = seg;
+    }
+    text
+}
+
 /// Does this line iterate one of the map-typed names without an
 /// order-insensitive sink? Returns the offending name.
 fn map_iteration(code: &str, map_names: &BTreeSet<String>) -> Option<String> {
@@ -373,7 +389,9 @@ fn map_iteration(code: &str, map_names: &BTreeSet<String>) -> Option<String> {
             .iter()
             .any(|m| code.contains(&format!("{name}{m}")))
             || code.contains(&format!("in &{name}"))
+            || code.contains(&format!("in &self.{name}"))
             || code.contains(&format!("in &mut {name}"))
+            || code.contains(&format!("in &mut self.{name}"))
             || code.contains(&format!("in {name} "))
             || code.trim_end().ends_with(&format!("in {name}"));
         if hit && has_token(code, name) {
@@ -399,9 +417,27 @@ mod tests {
     }
 
     #[test]
+    fn map_names_from_qualified_decls() {
+        let f = SourceFile::scan(
+            "t.rs",
+            "    pub conns: netsim::hash::HashMap<ConnId, u64>,\n\
+             let live = crate::hash::HashSet::default();\n\
+             let by: std::collections::HashMap<u32, u8> = x.collect::<Vec<_>>();\n",
+        );
+        let names = map_typed_names(&f);
+        assert!(names.contains("conns"), "{names:?}");
+        assert!(names.contains("live"), "{names:?}");
+        assert!(names.contains("by"), "{names:?}");
+        assert_eq!(strip_path("x: a::b_2::"), "x: ");
+        assert_eq!(strip_path("v.collect::<"), "v.collect::<");
+    }
+
+    #[test]
     fn iteration_detection_and_neutral_sinks() {
         let names: BTreeSet<String> = ["seen".to_string()].into_iter().collect();
         assert!(map_iteration("for (k, v) in &seen {", &names).is_some());
+        assert!(map_iteration("for (k, v) in &self.seen {", &names).is_some());
+        assert!(map_iteration("for v in &mut self.seen {", &names).is_some());
         assert!(map_iteration("seen.values().collect::<Vec<_>>()", &names).is_some());
         assert!(map_iteration("let total: u64 = seen.values().sum();", &names).is_none());
         assert!(map_iteration("let n = seen.len();", &names).is_none());

@@ -215,14 +215,16 @@ fn real_workspace_is_clean() {
 
 #[test]
 fn r1_flags_nondeterminism_reachable_from_the_simulator() {
-    // Hash-ordered iteration in the simulator itself, and in a helper a
+    // Hash-ordered iteration in the simulator itself, over a std map
+    // and over a `netsim::hash` fixed-hasher map, and in a helper a
     // call chain reaches from an `impl Simulator` method through a
-    // non-sim crate, must both fail the lint.
+    // non-sim crate, must all fail the lint.
     let report = lint_fixture("r1_taint");
     assert_eq!(
         spans(&report),
         vec![
-            ("R1", "crates/core/src/sim.rs", 15),
+            ("R1", "crates/core/src/sim.rs", 18),
+            ("R1", "crates/core/src/sim.rs", 21),
             ("R1", "crates/sscrypto/src/lib.rs", 11),
         ],
         "got:\n{}",
@@ -237,7 +239,12 @@ fn r1_flags_nondeterminism_reachable_from_the_simulator() {
         iter.contains("via core::Simulator::step"),
         "message: {iter}"
     );
-    let helper = &report.findings[1].message;
+    let fixed = &report.findings[1].message;
+    assert!(
+        fixed.contains("iteration over hash-ordered `peers`"),
+        "a path-qualified fixed-hasher map is still hash-ordered: {fixed}"
+    );
+    let helper = &report.findings[2].message;
     assert!(helper.contains("hash-ordered `keys`"), "message: {helper}");
     assert!(
         helper.contains("via core::Simulator::step -> core::session_key -> sscrypto::first_key"),

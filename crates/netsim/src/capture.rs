@@ -83,7 +83,7 @@ impl Capture {
     /// The first data-carrying packet of each connection, client side —
     /// the packet the GFW's passive detector keys on (§4).
     pub fn first_data_per_conn(&self) -> Vec<&Packet> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::hash::HashSet::default();
         let mut out = Vec::new();
         for p in &self.packets {
             if p.has_payload() && seen.insert(p.conn) {

@@ -41,9 +41,10 @@
 
 use crate::app::AppId;
 use crate::conn::ConnId;
+use crate::hash::HashMap;
 use crate::host::Region;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Nanobytes per byte: the resolution of fluid virtual time. With
 /// capacities in bytes/sec and time in nanoseconds, `C·dt` is exactly
@@ -272,7 +273,7 @@ impl FluidState {
         };
         FluidState {
             links: [mk(bw.cn_to_intl), mk(bw.intl_to_cn), mk(bw.intra)],
-            flows: HashMap::new(),
+            flows: HashMap::default(),
             next_seq: 0,
         }
     }

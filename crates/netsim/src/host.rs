@@ -198,7 +198,7 @@ impl Host {
 #[derive(Debug, Default)]
 pub struct HostArena {
     hosts: Vec<Host>,
-    by_addr: std::collections::HashMap<Ipv4, u32>,
+    by_addr: crate::hash::HashMap<Ipv4, u32>,
 }
 
 impl HostArena {

@@ -83,6 +83,7 @@ pub mod capture;
 pub mod conn;
 pub mod eventq;
 pub mod flow;
+pub mod hash;
 pub mod host;
 pub mod impair;
 pub mod internet;

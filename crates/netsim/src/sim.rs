@@ -32,6 +32,7 @@ use crate::conn::{
 };
 use crate::eventq::EventQueue;
 use crate::flow::{self, Completion, EngineMode, FluidState, LinkBandwidth, LinkId};
+use crate::hash::HashMap;
 use crate::host::{Host, HostArena, HostConfig, Region};
 use crate::impair::{ImpairmentSpec, LinkImpairment};
 use crate::internet::{InternetModel, RemoteOutcome};
@@ -41,7 +42,7 @@ use crate::time::{Duration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Global simulator parameters.
 #[derive(Clone, Copy, Debug)]
@@ -239,7 +240,7 @@ impl Simulator {
             next_conn_id: 0,
             next_host_octet: 0,
             hosts: HostArena::new(),
-            listeners: HashMap::new(),
+            listeners: HashMap::default(),
             conns: ConnArena::new(),
             apps: Vec::new(),
             taps: Vec::new(),

@@ -17,10 +17,10 @@
 //! Both attacks motivated the AEAD construction; run against an AEAD
 //! server they collapse into plain authentication failures.
 
+use netsim::hash::HashMap;
 use shadowsocks::addr::TargetAddr;
 use shadowsocks::server::{ServerAction, ServerConn};
 use shadowsocks::ServerConfig;
-use std::collections::HashMap;
 
 /// Immediate server behaviours distinguishable by the attacker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -86,7 +86,7 @@ impl AddrTypeOracle {
 /// Each trial runs against a fresh server (the historical attack made
 /// many separate connections).
 pub fn breakwa11(config: &ServerConfig, recorded: &[u8], iv_len: usize) -> AddrTypeOracle {
-    let mut behaviours: HashMap<Behaviour, usize> = HashMap::new();
+    let mut behaviours: HashMap<Behaviour, usize> = HashMap::default();
     for delta in 0u16..=255 {
         let mut probe = recorded.to_vec();
         probe[iv_len] ^= delta as u8;

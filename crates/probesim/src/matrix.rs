@@ -2,10 +2,10 @@
 
 use crate::oracle::EngineOracle;
 use gfw_core::probe::{build_payload, ProbeKind, Reaction};
+use netsim::hash::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shadowsocks::{ClientSession, ServerConfig, TargetAddr};
-use std::collections::HashMap;
 
 /// Reaction counts for one probe length.
 #[derive(Clone, Debug, Default)]

@@ -7,10 +7,10 @@ use crate::server::{ServerAction, ServerConn};
 use crate::TargetAddr;
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::conn::{ConnId, TcpTuning};
+use netsim::hash::HashMap;
 use netsim::packet::Ipv4;
 use netsim::time::Duration;
 use rand::Rng;
-use std::collections::HashMap;
 
 const TOKEN_IDLE: u64 = 0;
 const TOKEN_DNS_FAIL: u64 = 1;
@@ -43,13 +43,13 @@ impl SsServerApp {
         SsServerApp {
             engine: ServerConn::new(config, seed),
             host,
-            resolver: HashMap::new(),
+            resolver: HashMap::default(),
             dns_delay: Duration::from_millis(100),
             idle_timeout,
-            by_inbound: HashMap::new(),
-            inbound_of_outbound: HashMap::new(),
-            outbound_of_inbound: HashMap::new(),
-            last_activity: HashMap::new(),
+            by_inbound: HashMap::default(),
+            inbound_of_outbound: HashMap::default(),
+            outbound_of_inbound: HashMap::default(),
+            last_activity: HashMap::default(),
         }
     }
 

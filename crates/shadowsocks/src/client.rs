@@ -9,7 +9,7 @@
 //! make the first-packet length variable.
 
 use crate::addr::TargetAddr;
-use crate::config::ServerConfig;
+use crate::config::{PreparedKey, ServerConfig};
 use crate::wire::{AeadDecryptor, AeadEncryptor, StreamDecryptor, StreamEncryptor};
 use rand::Rng;
 
@@ -42,16 +42,16 @@ impl ClientSession {
         let method = config.method;
         let mut nonce = vec![0u8; method.iv_len()];
         rng.fill(&mut nonce[..]);
-        // A stream config carries its prepared key; both directions
-        // start from it instead of expanding the master key again.
-        let (enc, dec) = match config.stream_key() {
-            Some(key) => (
+        // The config carries its prepared key; both directions start
+        // from it instead of preparing the master key again.
+        let (enc, dec) = match config.key() {
+            PreparedKey::Stream(key) => (
                 Enc::Stream(StreamEncryptor::with_key(key, nonce)),
                 Dec::Stream(StreamDecryptor::with_key(key.clone())),
             ),
-            None => (
-                Enc::Aead(AeadEncryptor::new(method, &config.master_key, nonce)),
-                Dec::Aead(AeadDecryptor::new(method, &config.master_key)),
+            PreparedKey::Aead(key) => (
+                Enc::Aead(AeadEncryptor::with_key(key, nonce)),
+                Dec::Aead(AeadDecryptor::with_key(*key)),
             ),
         };
         ClientSession {

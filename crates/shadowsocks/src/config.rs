@@ -2,7 +2,7 @@
 
 use crate::profile::Profile;
 use sscrypto::kdf::evp_bytes_to_key;
-use sscrypto::method::{Kind, Method, StreamKey};
+use sscrypto::method::{AeadKey, Kind, Method, StreamKey};
 
 /// Configuration shared by a Shadowsocks server and its clients.
 #[derive(Clone, Debug)]
@@ -18,10 +18,19 @@ pub struct ServerConfig {
     pub timeout_secs: u64,
     /// Capacity of the replay filter, if the profile has one.
     pub replay_filter_capacity: usize,
-    /// `master_key` prepared once for a stream method (`None` for AEAD
-    /// methods): every client, server and reply stream of this config
-    /// shares its AES key schedule.
-    stream_key: Option<StreamKey>,
+    /// `master_key` prepared once for the method's construction: every
+    /// client, server and reply session of this config starts from it.
+    key: PreparedKey,
+}
+
+/// A config's master key, prepared once for its method's construction.
+#[derive(Clone, Debug)]
+pub enum PreparedKey {
+    /// A stream method's key: its sessions share the AES key schedule.
+    Stream(StreamKey),
+    /// An AEAD method's key, held inline: its sessions copy it without
+    /// allocating and derive their subkeys from it.
+    Aead(AeadKey),
 }
 
 impl ServerConfig {
@@ -29,21 +38,23 @@ impl ServerConfig {
     /// as every Shadowsocks implementation does.
     pub fn new(method: Method, password: &str, profile: Profile) -> ServerConfig {
         let master_key = evp_bytes_to_key(password.as_bytes(), method.key_len());
-        let stream_key = (method.kind() == Kind::Stream).then(|| method.stream_key(&master_key));
+        let key = match method.kind() {
+            Kind::Stream => PreparedKey::Stream(method.stream_key(&master_key)),
+            Kind::Aead => PreparedKey::Aead(method.aead_key(&master_key)),
+        };
         ServerConfig {
             method,
             master_key,
             profile,
             timeout_secs: 60,
             replay_filter_capacity: 100_000,
-            stream_key,
+            key,
         }
     }
 
-    /// The prepared stream key, for a stream method; `None` for an
-    /// AEAD method.
-    pub fn stream_key(&self) -> Option<&StreamKey> {
-        self.stream_key.as_ref()
+    /// The prepared key every session of this config starts from.
+    pub fn key(&self) -> &PreparedKey {
+        &self.key
     }
 }
 

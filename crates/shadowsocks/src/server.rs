@@ -10,13 +10,13 @@
 
 use crate::addr::{parse_spec, ParseOutcome, TargetAddr};
 use crate::bloom::PingPongBloom;
-use crate::config::ServerConfig;
+use crate::config::{PreparedKey, ServerConfig};
 use crate::profile::ErrorReaction;
 use crate::wire::{AeadDecryptor, AeadEncryptor, StreamDecryptor, StreamEncryptor};
+use netsim::hash::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sscrypto::method::Kind;
-use std::collections::HashMap;
 
 /// What the server wants its transport to do.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,7 +115,7 @@ impl ServerConn {
             iv_len: config.method.iv_len(),
             config,
             filter,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             next_id: 0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -125,14 +125,14 @@ impl ServerConn {
     pub fn open_conn(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let phase = match self.config.stream_key() {
-            Some(key) => Phase::StreamHeader {
+        let phase = match self.config.key() {
+            PreparedKey::Stream(key) => Phase::StreamHeader {
                 dec: StreamDecryptor::with_key(key.clone()),
                 plain: Vec::new(),
                 replay_checked: false,
             },
-            None => Phase::AeadHeader {
-                dec: AeadDecryptor::new(self.config.method, &self.config.master_key),
+            PreparedKey::Aead(key) => Phase::AeadHeader {
+                dec: AeadDecryptor::with_key(*key),
                 got: 0,
                 staged: Vec::new(),
                 replay_checked: false,
@@ -389,13 +389,12 @@ impl ServerConn {
 
     /// Data arrived from the target: encrypt it for the client.
     pub fn on_target_data(&mut self, conn_id: u64, data: &[u8]) -> Vec<ServerAction> {
-        let method = self.config.method;
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return Vec::new();
         };
         let mut encrypted = Vec::new();
-        match self.config.stream_key() {
-            Some(key) => {
+        match self.config.key() {
+            PreparedKey::Stream(key) => {
                 if conn.stream_enc.is_none() {
                     let mut iv = vec![0u8; self.iv_len];
                     self.rng.fill(&mut iv[..]);
@@ -405,11 +404,11 @@ impl ServerConn {
                     enc.encrypt_into(data, &mut encrypted);
                 }
             }
-            None => {
+            PreparedKey::Aead(key) => {
                 if conn.aead_enc.is_none() {
                     let mut salt = vec![0u8; self.iv_len];
                     self.rng.fill(&mut salt[..]);
-                    conn.aead_enc = Some(AeadEncryptor::new(method, &self.config.master_key, salt));
+                    conn.aead_enc = Some(AeadEncryptor::with_key(key, salt));
                 }
                 if let Some(enc) = &mut conn.aead_enc {
                     enc.seal_into(data, &mut encrypted);

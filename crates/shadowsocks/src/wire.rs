@@ -9,8 +9,7 @@
 
 use sscrypto::aead::{Aead, TAG_LEN};
 use sscrypto::cfb::Direction;
-use sscrypto::hkdf::ss_subkey;
-use sscrypto::method::{Kind, Method, StreamCipher, StreamKey};
+use sscrypto::method::{AeadKey, Method, StreamCipher, StreamKey};
 use sscrypto::AuthError;
 
 /// Maximum plaintext length of one AEAD chunk (0x3FFF per the spec).
@@ -179,11 +178,26 @@ pub struct AeadEncryptor {
 
 impl AeadEncryptor {
     /// Start a session: derives the subkey from `master_key` and `salt`.
+    ///
+    /// Checks the key for this one session; a config that starts many
+    /// sessions checks it once and uses [`AeadEncryptor::with_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the method is not an AEAD method or lengths are wrong.
     pub fn new(method: Method, master_key: &[u8], salt: Vec<u8>) -> AeadEncryptor {
-        assert_eq!(method.kind(), Kind::Aead);
-        assert_eq!(salt.len(), method.iv_len(), "bad salt length");
-        let subkey = ss_subkey(master_key, &salt);
-        let aead = method.new_aead(&subkey);
+        AeadEncryptor::with_key(&method.aead_key(master_key), salt)
+    }
+
+    /// Start a session under an already checked key: derives the subkey
+    /// from it and `salt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the salt length is wrong for the key's method.
+    pub fn with_key(key: &AeadKey, salt: Vec<u8>) -> AeadEncryptor {
+        assert_eq!(salt.len(), key.method().iv_len(), "bad salt length");
+        let aead = key.session(&salt);
         let nonce = vec![0u8; aead.nonce_len()];
         AeadEncryptor {
             aead,
@@ -255,11 +269,10 @@ const COMPACT_THRESHOLD: usize = 4096;
 /// lazily (once it passes `COMPACT_THRESHOLD`, 4 KiB) instead of
 /// drained per frame.
 pub struct AeadDecryptor {
-    method: Method,
     // `Method` dispatch hoisted out of the per-call path: the salt
     // length is resolved once here instead of on every `decrypt`.
     salt_len: usize,
-    master_key: Vec<u8>,
+    key: AeadKey,
     aead: Option<Box<dyn Aead>>,
     salt: Vec<u8>,
     nonce: Vec<u8>,
@@ -271,12 +284,23 @@ pub struct AeadDecryptor {
 
 impl AeadDecryptor {
     /// Start a decryption session; the salt arrives with the data.
+    ///
+    /// Checks the key for this one session; a config that starts many
+    /// sessions checks it once and uses [`AeadDecryptor::with_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the method is not an AEAD method or the key length is
+    /// wrong.
     pub fn new(method: Method, master_key: &[u8]) -> AeadDecryptor {
-        assert_eq!(method.kind(), Kind::Aead);
+        AeadDecryptor::with_key(method.aead_key(master_key))
+    }
+
+    /// Start a decryption session under an already checked key.
+    pub fn with_key(key: AeadKey) -> AeadDecryptor {
         AeadDecryptor {
-            method,
-            salt_len: method.iv_len(),
-            master_key: master_key.to_vec(),
+            salt_len: key.method().iv_len(),
+            key,
             aead: None,
             salt: Vec::new(),
             nonce: Vec::new(),
@@ -315,8 +339,7 @@ impl AeadDecryptor {
             self.salt.extend_from_slice(&data[..take]);
             data = &data[take..];
             if self.salt.len() == self.salt_len {
-                let subkey = ss_subkey(&self.master_key, &self.salt);
-                let aead = self.method.new_aead(&subkey);
+                let aead = self.key.session(&self.salt);
                 self.nonce = vec![0u8; aead.nonce_len()];
                 self.aead = Some(aead);
                 self.phase = AeadPhase::Length;
@@ -428,7 +451,7 @@ impl AeadDecryptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sscrypto::method::ALL_METHODS;
+    use sscrypto::method::{Kind, ALL_METHODS};
 
     fn key_for(m: Method) -> Vec<u8> {
         sscrypto::kdf::evp_bytes_to_key(b"test-password", m.key_len())

@@ -15,6 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use shadowsocks::config::PreparedKey;
 use shadowsocks::wire::{AeadDecryptor, AeadEncryptor, StreamDecryptor, StreamEncryptor};
 use shadowsocks::{Profile, ServerConfig};
 use sscrypto::method::{Kind, Method, ALL_METHODS};
@@ -302,7 +303,7 @@ proptest! {
         let stream_methods = ALL_METHODS.iter().filter(|m| m.kind() == Kind::Stream);
         for &m in stream_methods {
             let config = ServerConfig::new(m, "prop-password", Profile::LIBEV_OLD);
-            let Some(key) = config.stream_key() else {
+            let PreparedKey::Stream(key) = config.key() else {
                 return Err(TestCaseError::fail(format!("{}: no stream key", m.name())));
             };
             let mut rng = StdRng::seed_from_u64(iv_seed);

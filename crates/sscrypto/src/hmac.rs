@@ -1,37 +1,41 @@
 //! HMAC (RFC 2104) over the hash functions in this crate.
 //!
 //! HMAC-SHA1 underlies the HKDF used to derive Shadowsocks AEAD session
-//! subkeys.
+//! subkeys. Digests are fixed-size arrays, so a MAC allocates nothing.
 
+use crate::block::BLOCK_LEN;
 use crate::{md5::Md5, sha1::Sha1, sha256::Sha256};
 
 /// A minimal incremental-hash abstraction so HMAC and HKDF can be generic.
+///
+/// Every implementor has 64-byte blocks, which is the HMAC key block
+/// size.
 pub trait Hash: Clone {
-    /// Internal block length in bytes.
-    const BLOCK_LEN: usize;
     /// Digest length in bytes.
     const DIGEST_LEN: usize;
+    /// The digest: a fixed-size byte array.
+    type Digest: AsRef<[u8]> + Copy + PartialEq + std::fmt::Debug;
     /// Fresh hasher.
     fn new() -> Self;
     /// Absorb data.
     fn update(&mut self, data: &[u8]);
-    /// Finish, returning the digest as a `Vec` (lengths differ per hash).
-    fn finalize(self) -> Vec<u8>;
+    /// Finish, returning the digest.
+    fn finalize(self) -> Self::Digest;
 }
 
 macro_rules! impl_hash {
     ($ty:ty, $modname:ident) => {
         impl Hash for $ty {
-            const BLOCK_LEN: usize = crate::$modname::BLOCK_LEN;
             const DIGEST_LEN: usize = crate::$modname::DIGEST_LEN;
+            type Digest = [u8; crate::$modname::DIGEST_LEN];
             fn new() -> Self {
                 <$ty>::new()
             }
             fn update(&mut self, data: &[u8]) {
                 <$ty>::update(self, data)
             }
-            fn finalize(self) -> Vec<u8> {
-                <$ty>::finalize(self).to_vec()
+            fn finalize(self) -> Self::Digest {
+                <$ty>::finalize(self)
             }
         }
     };
@@ -42,31 +46,34 @@ impl_hash!(Sha1, sha1);
 impl_hash!(Sha256, sha256);
 
 /// Incremental HMAC.
+///
+/// Both keyed states are built once, in [`Hmac::new`]: the inner hash
+/// has absorbed `key ^ ipad`, the outer one `key ^ opad`. A clone is a
+/// fresh MAC under the same key that costs no compression, which is how
+/// HKDF-Expand reuses one key for every output block.
 #[derive(Clone)]
 pub struct Hmac<H: Hash> {
     inner: H,
-    opad_key: Vec<u8>,
+    outer: H,
 }
 
 impl<H: Hash> Hmac<H> {
     /// Create an HMAC instance keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        let mut k = if key.len() > H::BLOCK_LEN {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
             let mut h = H::new();
             h.update(key);
-            h.finalize()
+            let digest = h.finalize();
+            block[..H::DIGEST_LEN].copy_from_slice(digest.as_ref());
         } else {
-            key.to_vec()
-        };
-        k.resize(H::BLOCK_LEN, 0);
-        let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-        let mut inner = H::new();
-        inner.update(&ipad);
-        Hmac {
-            inner,
-            opad_key: opad,
+            block[..key.len()].copy_from_slice(key);
         }
+        let mut inner = H::new();
+        inner.update(&block.map(|b| b ^ 0x36));
+        let mut outer = H::new();
+        outer.update(&block.map(|b| b ^ 0x5c));
+        Hmac { inner, outer }
     }
 
     /// Absorb message data.
@@ -75,17 +82,15 @@ impl<H: Hash> Hmac<H> {
     }
 
     /// Finish and return the MAC.
-    pub fn finalize(self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        let mut outer = H::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+    pub fn finalize(self) -> H::Digest {
+        let mut outer = self.outer;
+        outer.update(self.inner.finalize().as_ref());
         outer.finalize()
     }
 }
 
 /// One-shot HMAC.
-pub fn hmac<H: Hash>(key: &[u8], data: &[u8]) -> Vec<u8> {
+pub fn hmac<H: Hash>(key: &[u8], data: &[u8]) -> H::Digest {
     let mut m = Hmac::<H>::new(key);
     m.update(data);
     m.finalize()

@@ -6,12 +6,16 @@
 //! `x86` module.
 //! Which one a cipher uses is decided **once per cipher instantiation**
 //! by snapshotting [`CpuFeatures::get`] — never inside a per-block loop.
+//! The SHA-1 and SHA-256 hashers decide the same way, once per hasher:
+//! a hasher built with `new` takes the snapshot, and HMAC copies its
+//! keyed states, so every hash in one HKDF call runs on one path.
 //!
 //! One override knob forces the scalar path for the whole process: the
 //! `GFWSIM_NO_HWCRYPTO=1` environment variable, read once per process
 //! (differential testing and determinism audits). A single cipher can
 //! be pinned to the scalar path by building it `with_features` from
-//! [`CpuFeatures::none`].
+//! [`CpuFeatures::none`] (hashers too: `Sha1::with_features`,
+//! `Sha256::with_features`).
 //!
 //! Both paths are byte-identical by construction; the proptests in
 //! `crypto_props` pin that equivalence, so the knob never changes any
@@ -31,6 +35,11 @@ pub struct CpuFeatures {
     pub ssse3: bool,
     /// AVX2, used by the 8-lane ChaCha20 path.
     pub avx2: bool,
+    /// SHA-NI (`sha1rnds4`/`sha256rnds2` and their message-schedule
+    /// helpers), used by the SHA-1 and SHA-256 compression functions.
+    /// Set only together with SSSE3 and SSE4.1, which the kernels use
+    /// for byte swaps and lane blends.
+    pub sha: bool,
 }
 
 impl CpuFeatures {
@@ -42,6 +51,7 @@ impl CpuFeatures {
             pclmulqdq: false,
             ssse3: false,
             avx2: false,
+            sha: false,
         }
     }
 
@@ -61,6 +71,9 @@ impl CpuFeatures {
                 pclmulqdq: std::arch::is_x86_feature_detected!("pclmulqdq"),
                 ssse3: std::arch::is_x86_feature_detected!("ssse3"),
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
+                sha: std::arch::is_x86_feature_detected!("sha")
+                    && std::arch::is_x86_feature_detected!("ssse3")
+                    && std::arch::is_x86_feature_detected!("sse4.1"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -78,7 +91,7 @@ impl CpuFeatures {
 
     /// True when at least one fast path is available.
     pub fn any(self) -> bool {
-        self.aes || self.pclmulqdq || self.ssse3 || self.avx2
+        self.aes || self.pclmulqdq || self.ssse3 || self.avx2 || self.sha
     }
 }
 
@@ -107,5 +120,9 @@ mod tests {
         let f = CpuFeatures::detect_with(false);
         assert_eq!(f.aes, std::arch::is_x86_feature_detected!("aes"));
         assert_eq!(f.avx2, std::arch::is_x86_feature_detected!("avx2"));
+        if f.sha {
+            assert!(std::arch::is_x86_feature_detected!("sha"));
+            assert!(std::arch::is_x86_feature_detected!("sse4.1"));
+        }
     }
 }

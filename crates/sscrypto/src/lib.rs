@@ -24,13 +24,14 @@
 //!
 //! ## Hardware fast paths
 //!
-//! The cipher hot paths ([`aes`], [`gcm`], [`chacha20`]) carry
-//! `std::arch` fast paths (AES-NI, PCLMULQDQ, SSSE3/AVX2) selected once
-//! per cipher instantiation from a cached [`hw::CpuFeatures`] probe.
-//! The scalar implementations stay compiled as the differential oracle;
-//! `GFWSIM_NO_HWCRYPTO=1` forces them for the whole process, and a
-//! cipher built `with_features` from [`hw::CpuFeatures::none`] uses them
-//! alone.
+//! The cipher hot paths ([`aes`], [`gcm`], [`chacha20`]) and the SHA
+//! compression functions ([`sha1`], [`sha256`]) carry `std::arch` fast
+//! paths (AES-NI, PCLMULQDQ, SSSE3/AVX2, SHA-NI) selected once per
+//! cipher or hasher instantiation from a cached [`hw::CpuFeatures`]
+//! probe. The scalar implementations stay compiled as the differential
+//! oracle; `GFWSIM_NO_HWCRYPTO=1` forces them for the whole process,
+//! and a cipher or hasher built `with_features` from
+//! [`hw::CpuFeatures::none`] uses them alone.
 //! Both paths are byte-identical, pinned by the `crypto_props` suite.
 //!
 //! ## Non-goals
@@ -40,6 +41,7 @@
 
 pub mod aead;
 pub mod aes;
+mod block;
 pub mod cfb;
 pub mod chacha20;
 pub mod ctr;

@@ -4,11 +4,13 @@
 //! `EVP_BytesToKey` password-to-key derivation for stream ciphers, and the
 //! `rc4-md5` method, where the session key is `MD5(key || IV)`.
 
+use crate::block::BlockBuffer;
+
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 16;
 
 /// Block size in bytes (used by HMAC).
-pub const BLOCK_LEN: usize = 64;
+pub const BLOCK_LEN: usize = crate::block::BLOCK_LEN;
 
 const S: [u32; 64] = [
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
@@ -32,9 +34,7 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    buf: [u8; BLOCK_LEN],
-    buf_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
 }
 
 impl Default for Md5 {
@@ -48,84 +48,59 @@ impl Md5 {
     pub fn new() -> Self {
         Md5 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            buf: [0; BLOCK_LEN],
-            buf_len: 0,
-            total_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
     /// Absorb `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (BLOCK_LEN - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len = self.buf_len.wrapping_add(take);
-            data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        let state = &mut self.state;
+        self.block.update(data, |blocks| {
+            blocks.iter().for_each(|b| compress(state, b));
+        });
     }
 
     /// Finish and return the 16-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length is absorbed directly to avoid perturbing total_len.
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.compress(&block);
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let mut state = self.state;
+        self.block.finish(u64::to_le_bytes, |blocks| {
+            blocks.iter().for_each(|b| compress(&mut state, b));
+        });
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        for (o, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+            *o = word.to_le_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().unwrap());
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// One block of the MD5 compression function.
+fn compress(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
+    let mut m = [0u32; 16];
+    for (mi, chunk) in m.iter_mut().zip(block.as_chunks::<4>().0) {
+        *mi = u32::from_le_bytes(*chunk);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let tmp = d;
+        d = c;
+        c = b;
+        b = b.wrapping_add(
+            a.wrapping_add(f)
+                .wrapping_add(K[i])
+                .wrapping_add(m[g])
+                .rotate_left(S[i]),
+        );
+        a = tmp;
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
     }
 }
 

@@ -12,6 +12,7 @@ use crate::cfb::{AesCfb, Direction};
 use crate::chacha20::{ChaCha20, ChaCha20Legacy};
 use crate::ctr::AesCtr;
 use crate::gcm::AesGcm;
+use crate::hkdf::{ss_subkey, MAX_SUBKEY_LEN};
 use crate::hw::CpuFeatures;
 use crate::rc4::{rc4_md5, Rc4};
 use std::sync::Arc;
@@ -229,6 +230,34 @@ impl Method {
         }
     }
 
+    /// Check an AEAD method's master key once, for any number of
+    /// sessions (see [`AeadKey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a stream method or on a key of the wrong
+    /// length.
+    pub fn aead_key(&self, key: &[u8]) -> AeadKey {
+        assert_eq!(
+            self.kind(),
+            Kind::Aead,
+            "{} is not an AEAD method",
+            self.name()
+        );
+        assert_eq!(
+            key.len(),
+            self.key_len(),
+            "bad key length for {}",
+            self.name()
+        );
+        let mut master = [0u8; MAX_SUBKEY_LEN];
+        master[..key.len()].copy_from_slice(key);
+        AeadKey {
+            method: *self,
+            master,
+        }
+    }
+
     /// Construct the AEAD cipher from a session subkey (already derived
     /// with HKDF-SHA1 from the master key and salt).
     ///
@@ -359,6 +388,58 @@ impl StreamKey {
             }
             KeyMaterial::Rc4Md5(key) => Box::new(rc4_md5(key, iv)),
         }
+    }
+}
+
+/// An AEAD method's master key, checked once and held inline for any
+/// number of sessions.
+///
+/// An AEAD session does not encrypt under the master key: it derives a
+/// subkey from it and the session's salt with HKDF-SHA1
+/// ([`ss_subkey`]), so nothing but the key itself can be prepared
+/// ahead. Held in a fixed array, it is `Copy`: a session takes its own
+/// copy without allocating. A Shadowsocks config builds one `AeadKey`
+/// and starts each client, server and reply session from it with
+/// [`AeadKey::session`].
+#[derive(Clone, Copy)]
+pub struct AeadKey {
+    method: Method,
+    master: [u8; MAX_SUBKEY_LEN],
+}
+
+impl AeadKey {
+    /// The method this key belongs to.
+    pub fn method(&self) -> Method {
+        self.method
+    }
+
+    fn master_key(&self) -> &[u8] {
+        &self.master[..self.method.key_len()]
+    }
+
+    /// Start one session under this key: derive the subkey for `salt`
+    /// and build the method's AEAD from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a salt of the wrong length for the method.
+    pub fn session(&self, salt: &[u8]) -> Box<dyn Aead> {
+        assert_eq!(
+            salt.len(),
+            self.method.iv_len(),
+            "bad salt length for {}",
+            self.method.name()
+        );
+        self.method.new_aead(&ss_subkey(self.master_key(), salt))
+    }
+}
+
+impl std::fmt::Debug for AeadKey {
+    /// Names the method only; key material is never printed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AeadKey")
+            .field("method", &self.method)
+            .finish_non_exhaustive()
     }
 }
 

@@ -2,21 +2,30 @@
 //!
 //! Shadowsocks AEAD ciphers derive their per-session subkeys with
 //! HKDF-SHA1, so SHA-1 (via [`crate::hmac`]) sits on the key-derivation
-//! path of every AEAD connection.
+//! path of every AEAD connection. The compression function runs on
+//! SHA-NI when the CPU has it (`crate::x86`), with the scalar code
+//! below as the fallback and the differential oracle.
+
+use crate::block::BlockBuffer;
+use crate::hw::CpuFeatures;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 20;
 
 /// Block size in bytes (used by HMAC).
-pub const BLOCK_LEN: usize = 64;
+pub const BLOCK_LEN: usize = crate::block::BLOCK_LEN;
+
+const INIT: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
 
 /// Incremental SHA-1 hasher.
+///
+/// Whether it compresses with SHA-NI or with the scalar oracle is
+/// decided once, when it is built; clones keep the choice.
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buf: [u8; BLOCK_LEN],
-    buf_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
+    hw: bool,
 }
 
 impl Default for Sha1 {
@@ -26,92 +35,94 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Create a fresh hasher.
+    /// Create a fresh hasher on the process's dispatch snapshot.
     pub fn new() -> Self {
+        Self::with_features(CpuFeatures::get())
+    }
+
+    /// Create a fresh hasher on an explicit feature snapshot
+    /// ([`CpuFeatures::none`] forces the scalar compression function).
+    pub fn with_features(feat: CpuFeatures) -> Self {
         Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            buf: [0; BLOCK_LEN],
-            buf_len: 0,
-            total_len: 0,
+            state: INIT,
+            block: BlockBuffer::new(),
+            hw: cfg!(target_arch = "x86_64") && feat.sha,
         }
+    }
+
+    /// True when this hasher compresses with SHA-NI.
+    pub fn is_hw(&self) -> bool {
+        self.hw
     }
 
     /// Absorb `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (BLOCK_LEN - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len = self.buf_len.wrapping_add(take);
-            data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        let (state, hw) = (&mut self.state, self.hw);
+        self.block
+            .update(data, |blocks| compress(state, hw, blocks));
     }
 
     /// Finish and return the 20-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let (mut state, hw) = (self.state, self.hw);
+        self.block
+            .finish(u64::to_be_bytes, |blocks| compress(&mut state, hw, blocks));
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (o, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+            *o = word.to_be_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5a827999),
-                1 => (b ^ c ^ d, 0x6ed9eba1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// Compress whole blocks on the path `hw` picked.
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+fn compress(state: &mut [u32; 5], hw: bool, blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(target_arch = "x86_64")]
+    if hw {
+        // SAFETY: `hw` is only set when the construction snapshot
+        // reported SHA-NI, SSSE3 and SSE4.1 (see `with_features`).
+        unsafe { crate::x86::sha1_compress(state, blocks) };
+        return;
+    }
+    let _ = hw;
+    for block in blocks {
+        compress_scalar(state, block);
+    }
+}
+
+/// The portable compression function: the fallback and the oracle the
+/// SHA-NI kernel is tested against.
+fn compress_scalar(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 80];
+    for (wi, chunk) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(*chunk);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i / 20 {
+            0 => ((b & c) | (!b & d), 0x5a827999),
+            1 => (b ^ c ^ d, 0x6ed9eba1),
+            2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+            _ => (b ^ c ^ d, 0xca62c1d6),
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -167,6 +178,20 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha1(&data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn hw_and_scalar_agree_across_padding_boundaries() {
+        // Lengths around the one- and two-block padding cases.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128, 300] {
+            let mut hw = Sha1::with_features(CpuFeatures::get());
+            let mut scalar = Sha1::with_features(CpuFeatures::none());
+            assert!(!scalar.is_hw());
+            hw.update(&data[..len]);
+            scalar.update(&data[..len]);
+            assert_eq!(hw.finalize(), scalar.finalize(), "len {len}");
         }
     }
 }

@@ -1,14 +1,21 @@
 //! SHA-256 (FIPS 180-4).
 //!
-//! Not used on the Shadowsocks wire path, but needed by the defense
-//! toolbox (Bloom-filter hashing of salts, deterministic workload seeds)
-//! and by the VMess-style timestamp authenticator in `defense`.
+//! Not used on the Shadowsocks wire path. Its hot caller is the
+//! server-side replay filter, `shadowsocks::bloom`, which takes both of
+//! its base hashes from one SHA-256 of each salt, on every connection
+//! and every replay probe. Fig 9 also matches replayed payloads by
+//! digest in its tests. The compression function runs on SHA-NI when
+//! the CPU has it (`crate::x86`), with the scalar code below as the
+//! fallback and the differential oracle.
+
+use crate::block::BlockBuffer;
+use crate::hw::CpuFeatures;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
 /// Block size in bytes (used by HMAC).
-pub const BLOCK_LEN: usize = 64;
+pub const BLOCK_LEN: usize = crate::block::BLOCK_LEN;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -21,13 +28,19 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+const INIT: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Incremental SHA-256 hasher.
+///
+/// Whether it compresses with SHA-NI or with the scalar oracle is
+/// decided once, when it is built; clones keep the choice.
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buf: [u8; BLOCK_LEN],
-    buf_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
+    hw: bool,
 }
 
 impl Default for Sha256 {
@@ -37,99 +50,100 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Create a fresh hasher.
+    /// Create a fresh hasher on the process's dispatch snapshot.
     pub fn new() -> Self {
+        Self::with_features(CpuFeatures::get())
+    }
+
+    /// Create a fresh hasher on an explicit feature snapshot
+    /// ([`CpuFeatures::none`] forces the scalar compression function).
+    pub fn with_features(feat: CpuFeatures) -> Self {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buf: [0; BLOCK_LEN],
-            buf_len: 0,
-            total_len: 0,
+            state: INIT,
+            block: BlockBuffer::new(),
+            hw: cfg!(target_arch = "x86_64") && feat.sha,
         }
+    }
+
+    /// True when this hasher compresses with SHA-NI.
+    pub fn is_hw(&self) -> bool {
+        self.hw
     }
 
     /// Absorb `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (BLOCK_LEN - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len = self.buf_len.wrapping_add(take);
-            data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub fn update(&mut self, data: &[u8]) {
+        let (state, hw) = (&mut self.state, self.hw);
+        self.block
+            .update(data, |blocks| compress(state, hw, blocks));
     }
 
     /// Finish and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let (mut state, hw) = (self.state, self.hw);
+        self.block
+            .finish(u64::to_be_bytes, |blocks| compress(&mut state, hw, blocks));
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (o, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+            *o = word.to_be_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+/// Compress whole blocks on the path `hw` picked.
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+fn compress(state: &mut [u32; 8], hw: bool, blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(target_arch = "x86_64")]
+    if hw {
+        // SAFETY: `hw` is only set when the construction snapshot
+        // reported SHA-NI, SSSE3 and SSE4.1 (see `with_features`).
+        unsafe { crate::x86::sha256_compress(state, blocks, &K) };
+        return;
+    }
+    let _ = hw;
+    for block in blocks {
+        compress_scalar(state, block);
+    }
+}
+
+/// The portable compression function: the fallback and the oracle the
+/// SHA-NI kernel is tested against.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (wi, chunk) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(*chunk);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -188,6 +202,20 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn hw_and_scalar_agree_across_padding_boundaries() {
+        // Lengths around the one- and two-block padding cases.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128, 300] {
+            let mut hw = Sha256::with_features(CpuFeatures::get());
+            let mut scalar = Sha256::with_features(CpuFeatures::none());
+            assert!(!scalar.is_hw());
+            hw.update(&data[..len]);
+            scalar.update(&data[..len]);
+            assert_eq!(hw.finalize(), scalar.finalize(), "len {len}");
         }
     }
 }

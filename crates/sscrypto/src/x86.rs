@@ -1,13 +1,14 @@
-//! x86_64 `std::arch` fast paths: AES-NI, PCLMULQDQ GHASH, and
-//! SSSE3/AVX2 multi-lane ChaCha20 keystream kernels.
+//! x86_64 `std::arch` fast paths: AES-NI, PCLMULQDQ GHASH,
+//! SSSE3/AVX2 multi-lane ChaCha20 keystream kernels, and SHA-NI
+//! compression functions for SHA-1 and SHA-256.
 //!
 //! This module is the crate's only home for `unsafe` code. Every kernel
 //! here has a portable scalar twin (the differential oracle) in its
 //! cipher module, and the `crypto_props` suite pins byte-identical
 //! output between the two for arbitrary inputs. Nothing in this module
 //! probes CPU features: callers gate on a [`crate::hw::CpuFeatures`]
-//! snapshot taken at cipher construction, which is the soundness
-//! precondition for every `#[target_feature]` function below.
+//! snapshot taken at cipher (or hasher) construction, which is the
+//! soundness precondition for every `#[target_feature]` function below.
 //!
 //! All functions are `pub(crate)` and `unsafe`: the unsafety is solely
 //! the ISA-extension precondition, never memory safety — inputs and
@@ -465,4 +466,207 @@ pub(crate) unsafe fn chacha_blocks8(states: &[[u32; 16]; 8], out: &mut [u8; 512]
             _mm256_extracti128_si256::<1>(o3),
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// SHA-NI
+// ---------------------------------------------------------------------------
+
+/// SHA-1 compression of whole 64-byte blocks into `state`.
+///
+/// Layout: `abcd` holds `a` in its highest dword, and the message
+/// words are byte-reversed across the whole register so `w[0]` is the
+/// highest dword too, which is what `sha1rnds4` expects. The two
+/// round-state registers alternate roles: each `sha1rnds4` writes the
+/// next `abcd` into one, while the other keeps the previous `abcd`,
+/// from which `sha1nexte` derives the next four rounds' `e`.
+///
+/// # Safety
+///
+/// CPU must support SHA-NI, SSSE3 and SSE4.1 (`CpuFeatures::sha`).
+// SAFETY: callers hold the SHA-NI/SSSE3/SSE4.1 precondition; each
+// block is read with four unaligned 16-byte loads at offsets ≤ 48
+// within its fixed-size 64-byte array.
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+pub(crate) unsafe fn sha1_compress(state: &mut [u32; 5], blocks: &[[u8; 64]]) {
+    let mask = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+    let mut abcd = _mm_set_epi32(
+        state[0] as i32,
+        state[1] as i32,
+        state[2] as i32,
+        state[3] as i32,
+    );
+    let mut e0 = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+
+    // Four rounds from `abcd` in `$cur`. `$old` holds `abcd` as it was
+    // four rounds earlier: `sha1nexte` takes these rounds' `e` from its
+    // `a` and adds the message words. The result replaces `$old`.
+    macro_rules! rounds4 {
+        ($old:ident, $cur:ident, $w:expr, $f:literal) => {
+            $old = _mm_sha1rnds4_epu32::<$f>($cur, _mm_sha1nexte_epu32($old, $w));
+        };
+    }
+    // The next four message words from the previous sixteen.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32($w0, $w1), $w2), $w3)
+        };
+    }
+
+    for block in blocks {
+        let p = block.as_ptr();
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), mask);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), mask);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), mask);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), mask);
+        let mut w4;
+
+        let mut h0 = abcd;
+        let mut h1 = _mm_sha1rnds4_epu32::<0>(h0, _mm_add_epi32(e0, w0));
+        // Rounds 0..20.
+        rounds4!(h0, h1, w1, 0);
+        rounds4!(h1, h0, w2, 0);
+        rounds4!(h0, h1, w3, 0);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h1, h0, w4, 0);
+        // Rounds 20..40.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h0, h1, w0, 1);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h1, h0, w1, 1);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h0, h1, w2, 1);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h1, h0, w3, 1);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h0, h1, w4, 1);
+        // Rounds 40..60.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h1, h0, w0, 2);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h0, h1, w1, 2);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h1, h0, w2, 2);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h0, h1, w3, 2);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h1, h0, w4, 2);
+        // Rounds 60..80.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h0, h1, w0, 3);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h1, h0, w1, 3);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h0, h1, w2, 3);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h1, h0, w3, 3);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h0, h1, w4, 3);
+
+        // `h0` holds the final `abcd`, `h1` the one four rounds before,
+        // whose rotated `a` is the final `e`.
+        abcd = _mm_add_epi32(abcd, h0);
+        e0 = _mm_sha1nexte_epu32(h1, e0);
+    }
+
+    state[0] = _mm_extract_epi32::<3>(abcd) as u32;
+    state[1] = _mm_extract_epi32::<2>(abcd) as u32;
+    state[2] = _mm_extract_epi32::<1>(abcd) as u32;
+    state[3] = _mm_extract_epi32::<0>(abcd) as u32;
+    state[4] = _mm_extract_epi32::<3>(e0) as u32;
+}
+
+/// SHA-256 compression of whole 64-byte blocks into `state`, with the
+/// round constants `k` (the FIPS 180-4 table, passed in so this module
+/// holds no copy of it).
+///
+/// Layout: `sha256rnds2` keeps the working variables as two registers,
+/// `abef` and `cdgh` (named high dword to low), and takes two rounds'
+/// `w + k` in the low dwords of its third operand. Message words are
+/// byte-swapped within each dword, so `w[4i]` sits in the lowest dword
+/// of its register.
+///
+/// # Safety
+///
+/// CPU must support SHA-NI, SSSE3 and SSE4.1 (`CpuFeatures::sha`).
+// SAFETY: callers hold the SHA-NI/SSSE3/SSE4.1 precondition; the state
+// is read and written with two unaligned 16-byte accesses within its
+// fixed-size 32-byte array, each block with four loads at offsets ≤ 48
+// within its 64-byte array, and `k` with sixteen loads at offsets ≤ 240
+// bytes within its fixed-size 256-byte table.
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+pub(crate) unsafe fn sha256_compress(state: &mut [u32; 8], blocks: &[[u8; 64]], k: &[u32; 64]) {
+    let mask = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let sp = state.as_mut_ptr();
+    let dcba = _mm_loadu_si128(sp.cast());
+    let hgfe = _mm_loadu_si128(sp.add(4).cast());
+    let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+    let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+    let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+    let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+
+    // Four rounds on message words `$w` with round constants 4i..4i+4.
+    macro_rules! rounds4 {
+        ($w:expr, $i:literal) => {
+            let wk = _mm_add_epi32($w, _mm_loadu_si128(k.as_ptr().add(4 * $i).cast()));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        };
+    }
+    // The next four message words from the previous sixteen.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(
+                    _mm_sha256msg1_epu32($w0, $w1),
+                    _mm_alignr_epi8::<4>($w3, $w2),
+                ),
+                $w3,
+            )
+        };
+    }
+
+    for block in blocks {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let p = block.as_ptr();
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), mask);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), mask);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), mask);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), mask);
+        rounds4!(w0, 0);
+        rounds4!(w1, 1);
+        rounds4!(w2, 2);
+        rounds4!(w3, 3);
+        w0 = schedule!(w0, w1, w2, w3);
+        rounds4!(w0, 4);
+        w1 = schedule!(w1, w2, w3, w0);
+        rounds4!(w1, 5);
+        w2 = schedule!(w2, w3, w0, w1);
+        rounds4!(w2, 6);
+        w3 = schedule!(w3, w0, w1, w2);
+        rounds4!(w3, 7);
+        w0 = schedule!(w0, w1, w2, w3);
+        rounds4!(w0, 8);
+        w1 = schedule!(w1, w2, w3, w0);
+        rounds4!(w1, 9);
+        w2 = schedule!(w2, w3, w0, w1);
+        rounds4!(w2, 10);
+        w3 = schedule!(w3, w0, w1, w2);
+        rounds4!(w3, 11);
+        w0 = schedule!(w0, w1, w2, w3);
+        rounds4!(w0, 12);
+        w1 = schedule!(w1, w2, w3, w0);
+        rounds4!(w1, 13);
+        w2 = schedule!(w2, w3, w0, w1);
+        rounds4!(w2, 14);
+        w3 = schedule!(w3, w0, w1, w2);
+        rounds4!(w3, 15);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32::<0x1b>(abef);
+    let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+    _mm_storeu_si128(sp.cast(), _mm_blend_epi16::<0xf0>(feba, dchg));
+    _mm_storeu_si128(sp.add(4).cast(), _mm_alignr_epi8::<8>(dchg, feba));
 }

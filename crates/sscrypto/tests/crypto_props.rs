@@ -164,7 +164,10 @@ proptest! {
 use sscrypto::aes::Aes;
 use sscrypto::cfb::Direction;
 use sscrypto::gcm::ghash_oracle;
+use sscrypto::hkdf::{hkdf, ss_subkey, SS_SUBKEY_INFO};
 use sscrypto::hw::CpuFeatures;
+use sscrypto::sha1::Sha1;
+use sscrypto::sha256::Sha256;
 
 /// The feature snapshot the differential properties test against: raw
 /// detection, ignoring `GFWSIM_NO_HWCRYPTO` so the suite still
@@ -418,5 +421,143 @@ proptest! {
                 "CTR, key len {}, {:?}", key_len, feat
             );
         }
+    }
+}
+
+/// Feed `data` to `update` in the pieces `cuts` makes of it.
+fn update_segmented(data: &[u8], cuts: &[f64], mut update: impl FnMut(&[u8])) {
+    for seg in segments(data, cuts) {
+        update(&seg);
+    }
+}
+
+/// The generic HMAC and HKDF this crate shipped before HMAC kept its
+/// keyed states: a fresh HMAC, and so a fresh `key ^ ipad` block, for
+/// every Expand block, the outer `key ^ opad` block absorbed only at
+/// `finalize`, and every digest and key a `Vec`. Kept as the oracle for
+/// `ss_subkey` and `hkdf`, on the scalar SHA-1.
+mod oracle {
+    use sscrypto::hw::CpuFeatures;
+    use sscrypto::sha1::Sha1;
+
+    const BLOCK_LEN: usize = 64;
+
+    fn hasher() -> Sha1 {
+        Sha1::with_features(CpuFeatures::none())
+    }
+
+    fn digest(h: Sha1) -> Vec<u8> {
+        h.finalize().to_vec()
+    }
+
+    struct Hmac {
+        inner: Sha1,
+        opad_key: Vec<u8>,
+    }
+
+    impl Hmac {
+        fn new(key: &[u8]) -> Self {
+            let mut k = if key.len() > BLOCK_LEN {
+                let mut h = hasher();
+                h.update(key);
+                digest(h)
+            } else {
+                key.to_vec()
+            };
+            k.resize(BLOCK_LEN, 0);
+            let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+            let opad_key: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+            let mut inner = hasher();
+            inner.update(&ipad);
+            Hmac { inner, opad_key }
+        }
+
+        fn update(&mut self, data: &[u8]) {
+            self.inner.update(data);
+        }
+
+        fn finalize(self) -> Vec<u8> {
+            let inner_digest = digest(self.inner);
+            let mut outer = hasher();
+            outer.update(&self.opad_key);
+            outer.update(&inner_digest);
+            digest(outer)
+        }
+    }
+
+    /// HKDF-SHA1 (RFC 5869) as the crate computed it before.
+    pub fn hkdf_sha1(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+        let mut m = Hmac::new(salt);
+        m.update(ikm);
+        let prk = m.finalize();
+        let mut out = Vec::with_capacity(out_len);
+        let mut t: Vec<u8> = Vec::new();
+        let mut counter = 1u8;
+        while out.len() < out_len {
+            let mut m = Hmac::new(&prk);
+            m.update(&t);
+            m.update(info);
+            m.update(&[counter]);
+            t = m.finalize();
+            let take = (out_len - out.len()).min(t.len());
+            out.extend_from_slice(&t[..take]);
+            counter = counter.wrapping_add(1);
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// SHA-1 and SHA-256 on the detected features (SHA-NI where the CPU
+    /// has it) match the scalar compression functions for any input
+    /// length, fed in any pieces: the buffered head block, runs of whole
+    /// blocks straight from the input, and both padding cases.
+    #[test]
+    fn sha_hw_matches_scalar(
+        data in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let mut hw1 = Sha1::with_features(detected());
+        let mut sc1 = Sha1::with_features(CpuFeatures::none());
+        let mut hw256 = Sha256::with_features(detected());
+        let mut sc256 = Sha256::with_features(CpuFeatures::none());
+        prop_assert!(!sc1.is_hw() && !sc256.is_hw());
+        update_segmented(&data, &cuts, |seg| {
+            hw1.update(seg);
+            hw256.update(seg);
+        });
+        sc1.update(&data);
+        sc256.update(&data);
+        prop_assert_eq!(hw1.finalize(), sc1.finalize());
+        prop_assert_eq!(hw256.finalize(), sc256.finalize());
+    }
+
+    /// `ss_subkey` (keyed HMAC states, fixed arrays) derives exactly the
+    /// subkey the generic HMAC/HKDF oracle derives, for any master key
+    /// up to the longest method key and any salt, including salts longer
+    /// than a block, which HMAC hashes first.
+    #[test]
+    fn ss_subkey_matches_generic_oracle(
+        key in proptest::collection::vec(any::<u8>(), 1..=32),
+        salt in proptest::collection::vec(any::<u8>(), 0..100),
+    ) {
+        let subkey = ss_subkey(&key, &salt);
+        let want = oracle::hkdf_sha1(&salt, &key, SS_SUBKEY_INFO, key.len());
+        prop_assert_eq!(&subkey[..], &want[..]);
+    }
+
+    /// The general HKDF-SHA1 agrees with the oracle too, for any info
+    /// and output length, over many Expand blocks.
+    #[test]
+    fn hkdf_matches_generic_oracle(
+        ikm in proptest::collection::vec(any::<u8>(), 0..100),
+        salt in proptest::collection::vec(any::<u8>(), 0..100),
+        info in proptest::collection::vec(any::<u8>(), 0..80),
+        out_len in 0usize..300,
+    ) {
+        let got = hkdf::<Sha1>(&salt, &ikm, &info, out_len);
+        prop_assert_eq!(got, oracle::hkdf_sha1(&salt, &ikm, &info, out_len));
     }
 }

@@ -19,7 +19,7 @@ fn env_override_selects_scalar_everywhere() {
         !feat.any(),
         "env override leaked hardware features: {feat:?}"
     );
-    assert!(!feat.aes && !feat.pclmulqdq && !feat.ssse3 && !feat.avx2);
+    assert!(!feat.aes && !feat.pclmulqdq && !feat.ssse3 && !feat.avx2 && !feat.sha);
 
     // The registry sees the same masked snapshot: nothing reports
     // hardware acceleration.
@@ -33,6 +33,9 @@ fn env_override_selects_scalar_everywhere() {
 
     // And a cipher built through the default constructor runs scalar.
     assert!(!sscrypto::aes::Aes::new(&[0u8; 16]).is_hw());
+    // So do hashers, and with them HMAC and HKDF.
+    assert!(!sscrypto::sha1::Sha1::new().is_hw());
+    assert!(!sscrypto::sha256::Sha256::new().is_hw());
 
     // Raw detection (used by the differential suites) is deliberately
     // unaffected: the override masks dispatch, not the probe itself.

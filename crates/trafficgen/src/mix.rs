@@ -28,6 +28,7 @@
 use crate::profiles::{conn_rng, conn_seed, Profile};
 use netsim::app::{App, AppEvent, Ctx};
 use netsim::conn::{ConnId, TcpTuning};
+use netsim::hash::HashSet;
 use netsim::host::HostConfig;
 use netsim::packet::{Ipv4, SocketAddr};
 use netsim::sim::Simulator;
@@ -37,7 +38,6 @@ use rand::{Rng, SeedableRng};
 use shadowsocks::apps::SsServerApp;
 use shadowsocks::{ClientSession, Profile as SsProfile, ServerConfig, TargetAddr};
 use sscrypto::method::Method;
-use std::collections::HashSet;
 
 /// Seed-stream tags so the independent RNG families never collide.
 const STREAM_SCHEDULE: u64 = 0x5C4E_D01E;
@@ -130,7 +130,7 @@ impl TrafficMix {
             let app = sim.add_app(Box::new(ProfileServer {
                 profile: *p,
                 seed: spec.seed,
-                responded: HashSet::new(),
+                responded: HashSet::default(),
             }));
             sim.listen((ip, port), app);
             servers.push((p.name, (ip, port)));
@@ -156,7 +156,7 @@ impl TrafficMix {
                 sim.add_app(Box::new(ProfileClient {
                     profile: *p,
                     seed: spec.seed,
-                    pending_first: HashSet::new(),
+                    pending_first: HashSet::default(),
                 }))
             })
             .collect();
@@ -419,8 +419,8 @@ impl App for MixWeb {
 mod tests {
     use super::*;
     use netsim::capture::Capture;
+    use netsim::hash::HashMap;
     use netsim::{EngineMode, Payload, SimConfig};
-    use std::collections::HashMap;
 
     fn run_mix(engine: EngineMode, spec: &MixSpec) -> (MixHandles, Vec<netsim::packet::Packet>) {
         let config = SimConfig {
@@ -487,7 +487,7 @@ mod tests {
         };
         let (handles, firsts) = run_mix(EngineMode::Packet, &spec);
         assert_eq!(firsts.len(), 300 + handles.ss_flows);
-        let by_addr: std::collections::HashMap<_, _> = handles
+        let by_addr: netsim::hash::HashMap<_, _> = handles
             .servers
             .iter()
             .map(|(name, addr)| (*addr, *name))
@@ -540,7 +540,7 @@ mod tests {
                 .map(|((_, addr), p)| (*addr, p))
                 .collect();
             // Per connection: (expected prefix, server data read so far).
-            let mut conns: HashMap<ConnId, (Vec<u8>, Vec<u8>)> = HashMap::new();
+            let mut conns: HashMap<ConnId, (Vec<u8>, Vec<u8>)> = HashMap::default();
             let mut synth_segments = 0usize;
             for pkt in sim.capture(cap).packets() {
                 let Some(p) = profile_at.get(&pkt.src).filter(|_| pkt.has_payload()) else {

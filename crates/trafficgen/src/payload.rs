@@ -123,6 +123,33 @@ pub enum TlsVersion {
     V1_3,
 }
 
+/// `x % k` for a fixed `k ≥ 1` and any `u64` `x`, without a division.
+///
+/// With `m = ⌊(2⁶⁴ − 1) / k⌋`, the high word `q` of `x·m` is `⌊x / k⌋`
+/// or one less, so `x − q·k` lies in `[0, 2k)` and one conditional
+/// subtraction finishes it. That holds for every `x` and `k`, `k = 1`
+/// included, so the result equals `x % k` exactly: a draw through it
+/// consumes and yields what `gen_range(0..k)` would.
+#[derive(Clone, Copy)]
+struct ModK {
+    k: u64,
+    m: u64,
+}
+
+impl ModK {
+    fn new(k: usize) -> ModK {
+        let k = k as u64;
+        ModK { k, m: u64::MAX / k }
+    }
+
+    #[inline]
+    fn reduce(self, x: u64) -> usize {
+        let q = (u128::from(x).wrapping_mul(u128::from(self.m)) >> 64) as u64;
+        let r = x.wrapping_sub(q.wrapping_mul(self.k));
+        (if r >= self.k { r - self.k } else { r }) as usize
+    }
+}
+
 /// Generate `len` bytes with per-byte Shannon entropy close to
 /// `target_bits` (0.0–8.0).
 ///
@@ -132,6 +159,10 @@ pub enum TlsVersion {
 /// mixing two alphabet sizes. Short payloads are capped at
 /// `log2(len)` bits by counting alone — the same physical limit real
 /// probes face.
+///
+/// Each byte is one RNG word reduced modulo `k`, exactly as
+/// `gen_range(0..k)` draws it, but through a multiply instead of the
+/// `u128` division `gen_range` takes (see `ModK`).
 pub fn entropy_payload(len: usize, target_bits: f64, rng: &mut impl Rng) -> Vec<u8> {
     let target = target_bits.clamp(0.0, 8.0);
     if len == 0 {
@@ -149,7 +180,10 @@ pub fn entropy_payload(len: usize, target_bits: f64, rng: &mut impl Rng) -> Vec<
         let j = rng.gen_range(i..256);
         alphabet.swap(i, j);
     }
-    (0..len).map(|_| alphabet[rng.gen_range(0..k)]).collect()
+    let draw = ModK::new(k);
+    (0..len)
+        .map(|_| alphabet[draw.reduce(rng.next_u64())])
+        .collect()
 }
 
 /// A plausible HTTP/1.1 GET request of roughly `len` bytes (padded with
@@ -534,8 +568,43 @@ pub fn quic_like_payload<S: Sink>(len: usize, rng: &mut impl Rng) -> S {
 mod tests {
     use super::*;
     use analysis::shannon_entropy;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    #[test]
+    fn mod_k_is_exact_at_the_edges() {
+        for k in 1..=256usize {
+            let m = ModK::new(k);
+            let k64 = k as u64;
+            let edges = [0, 1, k64 - 1, k64, k64 + 1, u64::MAX - 1, u64::MAX];
+            let multiples = (1..4).flat_map(|i| {
+                let top = u64::MAX / k64 * k64;
+                [top / i, (top / i).wrapping_sub(1), top - (i - 1) * k64]
+            });
+            for x in edges.into_iter().chain(multiples) {
+                assert_eq!(m.reduce(x) as u64, x % k64, "x {x} k {k}");
+            }
+        }
+    }
+
+    proptest! {
+        /// A draw through `ModK` takes the same word and yields the same
+        /// value as `gen_range(0..k)`, for every alphabet size, and
+        /// leaves the RNG where `gen_range` leaves it.
+        #[test]
+        fn mod_k_draws_match_gen_range(seed in any::<u64>(), draws in 1usize..16) {
+            for k in 1..=256usize {
+                let mut fast = StdRng::seed_from_u64(seed ^ k as u64);
+                let mut slow = fast.clone();
+                let m = ModK::new(k);
+                for _ in 0..draws {
+                    prop_assert_eq!(m.reduce(fast.next_u64()), slow.gen_range(0..k));
+                }
+                prop_assert_eq!(fast.next_u64(), slow.next_u64());
+            }
+        }
+    }
 
     #[test]
     fn entropy_targets_are_hit() {
