@@ -53,7 +53,9 @@ echo "==> differential properties (crypto fast paths, event queue, bulk bytes, r
 # the generic HMAC/HKDF oracle, whole-block CFB/CTR must equal their
 # byte-at-a-time references, stream sessions sharing one config's key
 # must equal sessions with fresh keys, and the timer wheel must pop
-# exactly what a BinaryHeap reference pops. Bulk segments carry a
+# exactly what a BinaryHeap reference pops, also when a refill drains a
+# level-0 slot by its computed tick instead of walking it for the
+# minimum. Bulk segments carry a
 # range, not bytes: the bytes synthesized when one is read must equal
 # `fill_bulk` at its stream offset, under both engines and across a
 # demotion flush.

@@ -26,7 +26,9 @@
 //!   only the head index of a singly linked list through the slab
 //!   (Varghese and Lauck's hashed hierarchical wheel, as in tokio's
 //!   timer). Memory follows the peak number of live entries, not the
-//!   sum of every slot's high-water mark;
+//!   sum of every slot's high-water mark. A cell is the entry plus its
+//!   link, so a small `T` keeps it small (the simulator's 16-byte
+//!   events make 40-byte cells);
 //! * popping refills a small `ready` batch by walking only that slot's
 //!   list: the cursor jumps to the smallest tick among its entries,
 //!   which move into `ready` (their cells go back to the free list) and
@@ -34,6 +36,11 @@
 //!   cursor below level L, so they re-link in place strictly lower (the
 //!   classic cascade), with no move and no allocation. Every other
 //!   wheel entry keeps its slot;
+//! * a level-0 slot shares every field above the lowest with the
+//!   cursor, so it holds exactly one tick, `(now_tick & !63) | slot`:
+//!   draining it needs no walk for the minimum, and all of its entries
+//!   move into `ready`. Only slots at level 1 and above are walked
+//!   twice;
 //! * after each cursor move, overflow entries that now fit in the
 //!   cursor's span move into the wheel, so the overflow only ever holds
 //!   entries later than the whole wheel.
@@ -257,13 +264,20 @@ impl<T> EventQueue<T> {
             let slot = self.occ[level].trailing_zeros() as usize;
             self.occ[level] &= !(1 << slot);
             let head = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
-            let mut m = u64::MAX;
-            let mut i = head;
-            while i != NIL {
-                let node = &self.slab[i];
-                m = node.entry.as_ref().map_or(m, |e| m.min(e.tick()));
-                i = node.next;
-            }
+            let m = if level == 0 {
+                // A level-0 slot shares every field above the lowest
+                // with the cursor, so it holds exactly one tick.
+                (self.now_tick & !(SLOTS as u64 - 1)) | slot as u64
+            } else {
+                let mut m = u64::MAX;
+                let mut i = head;
+                while i != NIL {
+                    let node = &self.slab[i];
+                    m = node.entry.as_ref().map_or(m, |e| m.min(e.tick()));
+                    i = node.next;
+                }
+                m
+            };
             debug_assert!(m != u64::MAX && m > self.now_tick, "cursor must advance");
             self.now_tick = m;
             let mut i = head;
@@ -271,7 +285,10 @@ impl<T> EventQueue<T> {
                 let node = &mut self.slab[i];
                 let next = node.next;
                 match node.entry.as_ref().map(Entry::tick) {
-                    Some(tick) if tick != m => self.link(i, tick),
+                    Some(tick) if tick != m => {
+                        debug_assert!(level > 0, "a level-0 slot holds one tick");
+                        self.link(i, tick);
+                    }
                     _ => {
                         self.ready.extend(node.entry.take());
                         node.next = self.free;

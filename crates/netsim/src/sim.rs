@@ -99,8 +99,12 @@ impl Default for SimConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CaptureId(usize);
 
+/// One event-queue entry. Every variant is at most 16 bytes, so a queue
+/// cell stays small; a packet in flight waits in the simulator's
+/// [`InFlight`] slab and its event carries only the slot.
 enum Event {
-    Deliver(Packet),
+    /// The packet in this [`InFlight`] slot arrives.
+    Deliver(u32),
     Timer {
         app: AppId,
         token: u64,
@@ -117,16 +121,61 @@ enum Event {
     RemoteRefused {
         conn: ConnId,
     },
-    /// Boxed so a lost segment's timer, which only impaired links
-    /// schedule, does not widen every other event past a `Packet`.
+    /// The lost segment in [`InFlight`] slot `slot` is due for
+    /// retransmission attempt `attempt`.
     Retransmit {
-        pkt: Box<Packet>,
+        slot: u32,
         attempt: u32,
     },
     FluidAdvance {
         link: LinkId,
         epoch: u64,
     },
+}
+
+// A wider variant would widen every queue cell.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
+/// Packets in flight, each in the slot its [`Event::Deliver`] or
+/// [`Event::Retransmit`] names. A packet is put in once when it goes on
+/// the link and taken out once when its event fires; freed slots are
+/// reused last in, first out, so the slab never outgrows the peak
+/// number of packets in flight.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    /// Store `pkt` and return its slot.
+    fn put(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                // A u32 slot would overflow only with 2^32 packets
+                // (320 GiB of them) in flight at once.
+                let slot = self.slots.len() as u32;
+                self.slots.push(Some(pkt));
+                slot
+            }
+        }
+    }
+
+    /// Remove and return the packet in `slot`, freeing the slot. Each
+    /// slot is filled once per event, so a firing event always finds
+    /// its packet.
+    fn take(&mut self, slot: u32) -> Option<Packet> {
+        let pkt = self.slots.get_mut(slot as usize).and_then(Option::take);
+        debug_assert!(pkt.is_some(), "in-flight slot {slot} fired empty");
+        if pkt.is_some() {
+            self.free.push(slot);
+        }
+        pkt
+    }
 }
 
 /// Aggregate counters, cheap enough to keep always-on.
@@ -201,6 +250,8 @@ pub struct Simulator {
     config: SimConfig,
     now: SimTime,
     queue: EventQueue<Event>,
+    /// The packets that queued `Deliver` and `Retransmit` events name.
+    in_flight: InFlight,
     next_conn_id: u64,
     next_host_octet: u32,
     hosts: HostArena,
@@ -237,6 +288,7 @@ impl Simulator {
             config,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            in_flight: InFlight::default(),
             next_conn_id: 0,
             next_host_octet: 0,
             hosts: HostArena::new(),
@@ -371,13 +423,19 @@ impl Simulator {
         };
         // Insertion keeps `(time, call order)` sorting: after any
         // entries with an equal time, so same-time connects open in the
-        // order they were requested.
-        let pos = self.scheduled_connects.partition_point(|&(t, _)| t <= at);
-        if pos == self.scheduled_connects.len() {
-            self.scheduled_connects.push_back((at, pending));
-        } else {
-            self.scheduled_connects.insert(pos, (at, pending));
-        }
+        // order they were requested. The common monotone schedule
+        // appends without a search.
+        let pos = match self.scheduled_connects.back() {
+            Some(&(last, _)) if last > at => {
+                let pos = self.scheduled_connects.partition_point(|&(t, _)| t <= at);
+                self.scheduled_connects.insert(pos, (at, pending));
+                pos
+            }
+            _ => {
+                self.scheduled_connects.push_back((at, pending));
+                self.scheduled_connects.len() - 1
+            }
+        };
         if pos == 0 {
             self.arm_open_event();
         }
@@ -423,7 +481,11 @@ impl Simulator {
         self.now = at;
         self.stats.events += 1;
         match ev {
-            Event::Deliver(pkt) => self.handle_deliver(pkt),
+            Event::Deliver(slot) => {
+                if let Some(pkt) = self.in_flight.take(slot) {
+                    self.handle_deliver(pkt);
+                }
+            }
             Event::Timer { app, token } => self.dispatch(app, AppEvent::Timer { token }),
             Event::OpenConn => {
                 self.next_open_at = None;
@@ -438,7 +500,11 @@ impl Simulator {
             }
             Event::SynTimeout { conn } => self.handle_syn_timeout(conn),
             Event::RemoteRefused { conn } => self.handle_remote_refused(conn),
-            Event::Retransmit { pkt, attempt } => self.handle_retransmit(*pkt, attempt),
+            Event::Retransmit { slot, attempt } => {
+                if let Some(pkt) = self.in_flight.take(slot) {
+                    self.handle_retransmit(pkt, attempt);
+                }
+            }
             Event::FluidAdvance { link, epoch } => self.handle_fluid_advance(link, epoch),
         }
         true
@@ -451,6 +517,12 @@ impl Simulator {
     fn push(&mut self, at: SimTime, ev: Event) {
         self.queue.push(at, ev);
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queue.len() as u64);
+    }
+
+    /// Queue the delivery of `pkt` at `at`.
+    fn push_deliver(&mut self, at: SimTime, pkt: Packet) {
+        let slot = self.in_flight.put(pkt);
+        self.push(at, Event::Deliver(slot));
     }
 
     fn region_of(&self, a: Ipv4) -> Option<Region> {
@@ -629,7 +701,7 @@ impl Simulator {
         let (latency, link) = self.pkt_link(&pkt);
         let base = latency + extra_delay;
         if link.is_noop() {
-            self.push(self.now + base, Event::Deliver(pkt));
+            self.push_deliver(self.now + base, pkt);
             return;
         }
         let spec = self.config.impairment;
@@ -637,10 +709,11 @@ impl Simulator {
             self.stats.packets_lost += 1;
             if Self::retransmittable(&pkt) && attempt < spec.rto_max_retries {
                 let at = self.now + spec.rto_initial.backoff(attempt);
+                let slot = self.in_flight.put(pkt);
                 self.push(
                     at,
                     Event::Retransmit {
-                        pkt: Box::new(pkt),
+                        slot,
                         attempt: attempt + 1,
                     },
                 );
@@ -658,9 +731,9 @@ impl Simulator {
         if link.duplicate > 0.0 && self.rng.gen_bool(link.duplicate_p()) {
             self.stats.packets_duplicated += 1;
             let copy_at = self.now + delay + Duration::from_micros(100);
-            self.push(copy_at, Event::Deliver(pkt.clone()));
+            self.push_deliver(copy_at, pkt.clone());
         }
-        self.push(self.now + delay, Event::Deliver(pkt));
+        self.push_deliver(self.now + delay, pkt);
     }
 
     /// Re-emit a lost segment: restamp its send time, mark it as a
@@ -1490,13 +1563,84 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    /// Every queue entry is as wide as the widest `Event` variant, so
-    /// one wider than a `Packet` would cost memory on every entry.
+    use super::*;
+    use crate::app::{App, AppEvent, Ctx};
+    use crate::host::HostConfig;
+
+    /// Sends a five-segment message as soon as it connects, then closes.
+    struct Sender;
+
+    impl App for Sender {
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
+            if let AppEvent::Connected { conn } = ev {
+                ctx.send(conn, vec![7u8; 6000]);
+                ctx.fin(conn);
+            }
+        }
+    }
+
+    /// Accepts and ignores everything.
+    struct Sink;
+
+    impl App for Sink {
+        fn on_event(&mut self, _ev: AppEvent, _ctx: &mut Ctx) {}
+    }
+
+    /// Twenty overlapping cross-border connections over links that lose,
+    /// duplicate, reorder and jitter, so the RTO path and the duplicate
+    /// `Deliver` path both run.
+    fn impaired_world(seed: u64) -> Simulator {
+        let link = LinkImpairment {
+            loss: 0.2,
+            duplicate: 0.2,
+            reorder: 0.1,
+            reorder_extra: Duration::from_millis(30),
+            jitter: Duration::from_millis(2),
+        };
+        let config = SimConfig {
+            impairment: ImpairmentSpec::symmetric(link),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(config, seed);
+        let server = sim.add_host(HostConfig::outside("s"));
+        let client = sim.add_host(HostConfig::china("c"));
+        let sink = sim.add_app(Box::new(Sink));
+        sim.listen((server, 1), sink);
+        let sender = sim.add_app(Box::new(Sender));
+        for i in 0..20 {
+            let at = SimTime::ZERO + Duration::from_millis(3 * i);
+            sim.connect_at(at, sender, client, (server, 1), TcpTuning::default());
+        }
+        sim
+    }
+
+    fn packets_in_flight(sim: &Simulator) -> usize {
+        sim.in_flight.slots.iter().filter(|s| s.is_some()).count()
+    }
+
     #[test]
-    fn an_event_is_no_wider_than_a_packet() {
-        assert_eq!(
-            std::mem::size_of::<super::Event>(),
-            std::mem::size_of::<crate::packet::Packet>()
+    fn an_impaired_run_leaves_no_packet_in_flight() {
+        let mut sim = impaired_world(1);
+        sim.run();
+        assert!(sim.stats.retransmits > 0, "no RTO fired");
+        assert!(sim.stats.packets_duplicated > 0, "no duplicate was sent");
+        assert_eq!(packets_in_flight(&sim), 0);
+        assert_eq!(sim.in_flight.free.len(), sim.in_flight.slots.len());
+    }
+
+    #[test]
+    fn the_in_flight_slab_never_outgrows_the_peak_in_flight() {
+        // A step takes at most one packet out before it puts any in, so
+        // the in-flight count peaks at the end of some step.
+        let mut sim = impaired_world(2);
+        let mut peak = packets_in_flight(&sim);
+        while sim.step() {
+            peak = peak.max(packets_in_flight(&sim));
+        }
+        assert!(
+            sim.stats.packets_sent > 2 * peak as u64,
+            "slots never reused"
         );
+        assert_eq!(sim.in_flight.slots.len(), peak);
     }
 }

@@ -100,17 +100,19 @@ impl ChaCha20Poly1305 {
         poly_key.copy_from_slice(&block0[..32]);
         let mut mac = Poly1305::new(&poly_key);
         mac.update(aad);
-        mac.update(&pad16(aad.len()));
+        mac.update(pad16(aad.len()));
         mac.update(ct);
-        mac.update(&pad16(ct.len()));
+        mac.update(pad16(ct.len()));
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ct.len() as u64).to_le_bytes());
         mac.finalize()
     }
 }
 
-fn pad16(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - len % 16) % 16]
+/// The zero padding that brings `len` bytes up to a 16-byte multiple.
+fn pad16(len: usize) -> &'static [u8] {
+    static ZEROS: [u8; 16] = [0; 16];
+    &ZEROS[..(16 - len % 16) % 16]
 }
 
 impl Aead for ChaCha20Poly1305 {
