@@ -12,12 +12,14 @@ echo "==> cargo clippy -D warnings"
 # Enforces clippy.toml (no host clock anywhere, no threads outside
 # experiments::runner, no BinaryHeap outside netsim::eventq) and the
 # root [workspace.lints] (unsafe_code, missing_docs, a reason on every
-# #[allow]), which every member inherits.
+# #[allow], a SAFETY comment on every unsafe block and a `# Safety`
+# section on every unsafe fn, private ones included), which every
+# member inherits.
 cargo clippy --all-targets -- -D warnings
 
 echo "==> gfw-lint"
 # What rustc and clippy cannot see: budgets, cross-crate constants,
-# manifests, call-graph taint, SAFETY comments, hot-path arithmetic.
+# manifests, call-graph taint, hot-path arithmetic.
 cargo run -q -p gfw-lint
 
 echo "==> cargo doc -D warnings"
@@ -63,9 +65,10 @@ cargo test -q -p sscrypto --test crypto_props
 cargo test -q -p shadowsocks --test wire_props
 cargo test -q --release -p netsim --test eventq_props
 cargo test -q --release -p netsim --test flow_props
-# A background server's response goes out as a description: the walk
-# that sizes it must draw exactly what the generator draws, and the
-# bytes synthesized from its seed must equal the eager response.
+# A background server's response goes out as a description, sized
+# from the draws that fix its length: that length must be the length
+# of the bytes synthesized from its seed, and those bytes must equal
+# the eager response.
 cargo test -q --release -p trafficgen --test profile_props
 # The sparse-until-dense replay filter must answer every insert, lookup,
 # clear and restart exactly as the dense-only filter it replaced.

@@ -1,13 +1,11 @@
 //! The checked-in budget baseline (`lint-baseline.toml`).
 //!
-//! The file holds three tables. `[panic-budget]` maps crate directory
+//! The file holds two tables. `[panic-budget]` maps crate directory
 //! names to the number of explicit panic sites (`unwrap()` / `expect(` /
 //! `panic!` / `unreachable!`) allowed in that crate's non-test code
 //! (rule P1). `[alloc-budget]` maps crypto hot-path areas to the number
 //! of heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`)
-//! allowed there (rule A1). `[unsafe-budget]` maps crate names to the
-//! number of non-test `unsafe` sites allowed (rule U1); unlisted crates
-//! get zero. Each rule fails when an area exceeds its
+//! allowed there (rule A1). Each rule fails when an area exceeds its
 //! budget; `--bless` regenerates the file and only ever ratchets the
 //! numbers *down* — raising a budget is a deliberate act done by
 //! editing the file by hand.
@@ -28,9 +26,6 @@ pub struct Baseline {
     pub budgets: BTreeMap<String, usize>,
     /// A1 budgets per hot-path area name.
     pub alloc_budgets: BTreeMap<String, usize>,
-    /// U1 budgets per crate directory name (unsafe sites in non-test
-    /// code). Crates not listed have a budget of zero.
-    pub unsafe_budgets: BTreeMap<String, usize>,
 }
 
 impl Baseline {
@@ -53,7 +48,6 @@ impl Baseline {
             None,
             Panic,
             Alloc,
-            Unsafe,
         }
         let mut out = Baseline::default();
         let mut table = Table::None;
@@ -66,7 +60,6 @@ impl Baseline {
                 table = match line {
                     "[panic-budget]" => Table::Panic,
                     "[alloc-budget]" => Table::Alloc,
-                    "[unsafe-budget]" => Table::Unsafe,
                     _ => Table::None,
                 };
                 continue;
@@ -90,7 +83,6 @@ impl Baseline {
             let dest = match table {
                 Table::Panic => &mut out.budgets,
                 Table::Alloc => &mut out.alloc_budgets,
-                Table::Unsafe => &mut out.unsafe_budgets,
                 Table::None => unreachable!(),
             };
             dest.insert(key.trim().to_string(), count);
@@ -120,16 +112,6 @@ impl Baseline {
             for (name, count) in &self.alloc_budgets {
                 out.push_str(&format!("{name} = {count}\n"));
             }
-        }
-        out.push_str(
-            "\n# Unsafe-site budget per crate (rule U1): `unsafe` blocks / fns /\n\
-             # impls in non-test code, each requiring an adjacent `// SAFETY:`\n\
-             # comment. Crates not listed have a budget of zero. New entries are\n\
-             # a hand edit (then `--bless`); blessing only ratchets down.\n\
-             \n[unsafe-budget]\n",
-        );
-        for (name, count) in &self.unsafe_budgets {
-            out.push_str(&format!("{name} = {count}\n"));
         }
         out
     }
@@ -166,21 +148,6 @@ mod tests {
         let again = Baseline::parse(&b.render()).unwrap();
         assert_eq!(again.budgets, b.budgets);
         assert_eq!(again.alloc_budgets, b.alloc_budgets);
-    }
-
-    #[test]
-    fn parse_roundtrip_with_unsafe_table() {
-        let b = Baseline::parse(
-            "[panic-budget]\ncore = 3\n\n[unsafe-budget]\nsscrypto = 2\nnetsim = 0\n",
-        )
-        .unwrap();
-        assert_eq!(b.unsafe_budgets.get("sscrypto"), Some(&2));
-        assert_eq!(b.unsafe_budgets.get("netsim"), Some(&0));
-        let again = Baseline::parse(&b.render()).unwrap();
-        assert_eq!(again.unsafe_budgets, b.unsafe_budgets);
-        // The rendered file always carries the (possibly empty) table
-        // header so the section stays documented.
-        assert!(b.render().contains("[unsafe-budget]"));
     }
 
     #[test]

@@ -11,16 +11,13 @@
 //!   `#[cfg(all(test, …))]` and nested test modules all mark their
 //!   whole item span as test-only (`any(test, …)` does **not** — such
 //!   code also compiles outside tests);
-//! * **`unsafe` blocks / fns / impls**, each with its line, for the U1
-//!   SAFETY-comment and budget audit;
 //! * **struct fields** with integer types, so W1 can type `self.field`
 //!   operands.
 //!
 //! The walk is a single pass with a scope stack keyed on brace depth.
 //! Braces that open match arms, struct literals or plain blocks become
 //! anonymous scopes and simply nest; only item-shaped headers (`fn`,
-//! `mod`, `impl`, `trait`, `struct`, a trailing `unsafe`) get typed
-//! scopes.
+//! `mod`, `impl`, `trait`, `struct`) get typed scopes.
 
 use crate::lex::{Tok, TokKind};
 
@@ -45,34 +42,8 @@ pub struct FnItem {
     /// Token index range of the body, **excluding** the outer braces.
     /// Empty for bodyless signatures (trait methods, extern decls).
     pub body: std::ops::Range<usize>,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
     /// Inside a `#[cfg(test)]`-only region (own attribute or any
     /// enclosing item's).
-    pub in_test: bool,
-}
-
-/// Kind of an `unsafe` occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { … }` block.
-    Block,
-    /// `unsafe fn`.
-    Fn,
-    /// `unsafe impl … { … }`.
-    Impl,
-}
-
-/// One `unsafe` site (block, fn or impl) in non-test or test code.
-#[derive(Debug)]
-pub struct UnsafeSite {
-    /// Which form.
-    pub kind: UnsafeKind,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Index into [`ItemTree::fns`] of the enclosing function, if any.
-    pub fn_idx: Option<usize>,
-    /// Inside test-only code (exempt from U1).
     pub in_test: bool,
 }
 
@@ -81,8 +52,6 @@ pub struct UnsafeSite {
 pub struct ItemTree {
     /// All functions, in source order.
     pub fns: Vec<FnItem>,
-    /// All `unsafe` sites, in source order.
-    pub unsafe_sites: Vec<UnsafeSite>,
     /// Per-line (0-indexed) test-only flags, exact per `#[cfg]`.
     pub test_lines: Vec<bool>,
     /// Struct fields declared in this file whose type is a primitive
@@ -142,7 +111,6 @@ enum ScopeKind {
     Trait,
     Struct,
     Fn(usize),
-    UnsafeBlock,
     Block,
 }
 
@@ -236,7 +204,7 @@ pub fn build(src: &str, toks: &[Tok]) -> ItemTree {
                 let start_line = header_start_line.unwrap_or(t.line);
                 let kind = classify_header(src, toks, &header);
                 match kind {
-                    HeaderKind::Fn { name_at, is_unsafe } => {
+                    HeaderKind::Fn { name_at } => {
                         let name = name_at.map(|x| text(x).to_string()).unwrap_or_default();
                         let params = parse_params(src, toks, &sig, &header, name_at);
                         let qual = qual_path(&scopes, &name);
@@ -253,18 +221,9 @@ pub fn build(src: &str, toks: &[Tok]) -> ItemTree {
                             line_start: start_line,
                             line_end: t.line,   // fixed at close
                             body: i + 1..i + 1, // end fixed at close
-                            is_unsafe,
                             in_test: test_only,
                         });
                         let fn_idx = tree.fns.len() - 1;
-                        if is_unsafe {
-                            tree.unsafe_sites.push(UnsafeSite {
-                                kind: UnsafeKind::Fn,
-                                line: start_line,
-                                fn_idx: Some(fn_idx),
-                                in_test: test_only,
-                            });
-                        }
                         scopes.push(Scope {
                             kind: ScopeKind::Fn(fn_idx),
                             close_at: depth,
@@ -282,15 +241,7 @@ pub fn build(src: &str, toks: &[Tok]) -> ItemTree {
                             test_only,
                         });
                     }
-                    HeaderKind::Impl { self_ty, is_unsafe } => {
-                        if is_unsafe {
-                            tree.unsafe_sites.push(UnsafeSite {
-                                kind: UnsafeKind::Impl,
-                                line: start_line,
-                                fn_idx: None,
-                                in_test: test_only,
-                            });
-                        }
+                    HeaderKind::Impl { self_ty } => {
                         scopes.push(Scope {
                             kind: ScopeKind::Impl,
                             close_at: depth,
@@ -311,25 +262,6 @@ pub fn build(src: &str, toks: &[Tok]) -> ItemTree {
                     HeaderKind::Struct => {
                         scopes.push(Scope {
                             kind: ScopeKind::Struct,
-                            close_at: depth,
-                            path_seg: None,
-                            start_line,
-                            test_only,
-                        });
-                    }
-                    HeaderKind::UnsafeBlock => {
-                        let fn_idx = scopes.iter().rev().find_map(|s| match s.kind {
-                            ScopeKind::Fn(idx) => Some(idx),
-                            _ => None,
-                        });
-                        tree.unsafe_sites.push(UnsafeSite {
-                            kind: UnsafeKind::Block,
-                            line: t.line,
-                            fn_idx,
-                            in_test: test_only,
-                        });
-                        scopes.push(Scope {
-                            kind: ScopeKind::UnsafeBlock,
                             close_at: depth,
                             path_seg: None,
                             start_line,
@@ -452,41 +384,28 @@ fn qual_path(scopes: &[Scope], name: &str) -> String {
 }
 
 enum HeaderKind {
-    Fn {
-        name_at: Option<usize>,
-        is_unsafe: bool,
-    },
-    Mod {
-        name: String,
-    },
-    Impl {
-        self_ty: Option<String>,
-        is_unsafe: bool,
-    },
-    Trait {
-        name: String,
-    },
+    Fn { name_at: Option<usize> },
+    Mod { name: String },
+    Impl { self_ty: Option<String> },
+    Trait { name: String },
     Struct,
-    UnsafeBlock,
     Plain,
 }
 
 /// Classify what an opening `{` belongs to from its header tokens.
 fn classify_header(src: &str, toks: &[Tok], header: &[usize]) -> HeaderKind {
     let text = |i: usize| toks[i].text(src);
-    let mut is_unsafe = false;
     for (h, &i) in header.iter().enumerate() {
         if toks[i].kind != TokKind::Ident {
             continue;
         }
         match text(i) {
-            "unsafe" => is_unsafe = true,
             "fn" => {
                 let name_at = header
                     .get(h + 1)
                     .copied()
                     .filter(|&j| toks[j].kind == TokKind::Ident);
-                return HeaderKind::Fn { name_at, is_unsafe };
+                return HeaderKind::Fn { name_at };
             }
             "mod" => {
                 let name = header
@@ -498,7 +417,6 @@ fn classify_header(src: &str, toks: &[Tok], header: &[usize]) -> HeaderKind {
             "impl" => {
                 return HeaderKind::Impl {
                     self_ty: impl_self_type(src, toks, &header[h + 1..]),
-                    is_unsafe,
                 };
             }
             "trait" => {
@@ -513,12 +431,6 @@ fn classify_header(src: &str, toks: &[Tok], header: &[usize]) -> HeaderKind {
             // literals, closures: anonymous blocks. `for … in … {` too.
             _ => {}
         }
-    }
-    if header
-        .last()
-        .is_some_and(|&i| toks[i].kind == TokKind::Ident && text(i) == "unsafe")
-    {
-        return HeaderKind::UnsafeBlock;
     }
     HeaderKind::Plain
 }
@@ -847,37 +759,6 @@ mod outer {
     }
 
     #[test]
-    fn unsafe_sites_are_found() {
-        let src = "\
-fn f() {
-    let p = unsafe { *ptr };
-}
-unsafe fn g() {}
-unsafe impl Send for X {}
-#[cfg(test)]
-mod tests {
-    fn t() { unsafe { nop() } }
-}
-";
-        let t = tree(src);
-        let kinds: Vec<(UnsafeKind, usize, bool)> = t
-            .unsafe_sites
-            .iter()
-            .map(|u| (u.kind, u.line, u.in_test))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (UnsafeKind::Block, 2, false),
-                (UnsafeKind::Fn, 4, false),
-                (UnsafeKind::Impl, 5, false),
-                (UnsafeKind::Block, 8, true),
-            ]
-        );
-        assert_eq!(t.unsafe_sites[0].fn_idx, Some(0));
-    }
-
-    #[test]
     fn fn_at_line_picks_innermost() {
         let src = "fn outer() {\n    fn inner() {\n        x();\n    }\n}\n";
         let t = tree(src);
@@ -900,7 +781,6 @@ mod tests {
         let t = tree(src);
         assert_eq!(t.fns.len(), 1);
         assert_eq!(t.fns[0].line_end, 6);
-        assert!(t.unsafe_sites.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Produces a flat token stream whose spans tile the source exactly:
 //! concatenating `&src[tok.start..tok.end]` over all tokens reassembles
 //! the input byte-for-byte (pinned by `tests/lex_props.rs`). The item
-//! tree ([`crate::items`]) and the token-level rules (U1/W1) are built
+//! tree ([`crate::items`]) and the token-level rule W1 are built
 //! on top of this stream; the line-oriented [`crate::scan`] view is
 //! derived from it too, so every rule sees one consistent tokenization.
 //!

@@ -2,8 +2,8 @@
 //!
 //! A dependency-free static-analysis engine for this workspace. Every
 //! `.rs` file is run through a hand-rolled span lexer ([`lex`]) and an
-//! item-tree pass ([`items`]) recovering functions, impls, `#[cfg]`
-//! regions and `unsafe` sites; [`scan`] projects that onto per-line
+//! item-tree pass ([`items`]) recovering functions, impls and `#[cfg]`
+//! regions; [`scan`] projects that onto per-line
 //! code/comment views, and [`callgraph`] builds the name-based call
 //! graph R1 walks. The rules, reported as `file:line` findings:
 //!
@@ -12,15 +12,17 @@
 //! | `P1` | Explicit panic sites (`unwrap()` / `expect(` / `panic!` / `unreachable!`) in the non-test code of `core`, `netsim`, `shadowsocks`, `sscrypto` and `trafficgen` stay within the checked-in budget (`lint-baseline.toml`), which only ratchets downward. |
 //! | `A1` | Heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`) in the non-test code of the crypto hot path (`sscrypto` and `shadowsocks::wire`) stay within the checked-in `[alloc-budget]` (`lint-baseline.toml`), which only ratchets downward — per-chunk allocations must not creep back into the codec. |
 //! | `C1` | The protocol constants agree across crates: the stream-IV and AEAD-salt lengths declared by `sscrypto::method::Method::iv_len` match the paper (8/12/16 and 16/24/32), the probe length sweep in `core::probe` covers them, and `shadowsocks::wire` derives its salt length from `Method::iv_len` instead of hardcoding one. |
-//! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true` (versions live only in the root `[workspace.dependencies]`) and inherit the workspace lints with `[lints] workspace = true`; only a crate with an `[unsafe-budget]` entry may carry its own `[lints.*]` tables. |
+//! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true` (versions live only in the root `[workspace.dependencies]`) and inherit the workspace lints with `[lints] workspace = true`; a crate with audited `unsafe` islands may instead carry its own `[lints.*]` tables that repeat the workspace lints with only `unsafe_code` relaxed to `deny`. |
 //! | `R1` | Determinism taint: no hash-ordered `HashMap`/`HashSet` iteration in any function reachable from an `impl Simulator` method, across every crate the sim can depend on (including `shadowsocks`, `sscrypto`, `analysis`). |
-//! | `U1` | Every non-test `unsafe` block/fn/impl carries an adjacent `// SAFETY:` comment, and per-crate unsafe-site counts stay within the `[unsafe-budget]` table of `lint-baseline.toml` (ratchet-down, like P1/A1). |
 //! | `W1` | In the hot-path modules (`sscrypto`, `netsim::eventq`, `gfw_core::passive`, `shadowsocks::wire`), bare `+`/`*`/`<<` (and their `=`-compounds) on integer state crossing a function boundary (params, `self` fields) must be `wrapping_*`/`checked_*`/`saturating_*` or carry an allow. |
 //!
 //! The toolchain enforces the rest: `clippy.toml` bans the host clock,
 //! threads outside `experiments::runner` and `BinaryHeap` outside
 //! `netsim::eventq`, and `[workspace.lints]` forbids `unsafe_code`,
-//! warns on `missing_docs` and asks every `#[allow]` for a reason.
+//! warns on `missing_docs`, asks every `#[allow]` for a reason, every
+//! `unsafe` block for a `// SAFETY:` comment and every `unsafe fn`
+//! (private ones too, by `clippy.toml`'s `check-private-items`) for a
+//! `# Safety` doc section.
 //!
 //! Individual findings can be suppressed with an inline escape —
 //! `// gfwlint: allow(P1)` on the offending line or alone on the line
@@ -30,7 +32,7 @@
 //! The binary (`cargo run -p gfw-lint`) exits 0 when clean, 1 on
 //! findings, 2 on usage or I/O errors, and supports `--json` (machine
 //! output, with panic/alloc sites attributed to their enclosing
-//! function), `--bless` (regenerate the P1/A1/U1 baselines, downward
+//! function), `--bless` (regenerate the P1/A1 baselines, downward
 //! only) and `--explain RULE` (print a rule's rationale and escape
 //! hatch).
 
@@ -50,7 +52,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule ID (`P1`, `A1`, `C1`, `H1`, `R1`, `U1` or `W1`).
+    /// Rule ID (`P1`, `A1`, `C1`, `H1`, `R1` or `W1`).
     pub rule: &'static str,
     /// File path relative to the workspace root.
     pub file: String,
@@ -109,9 +111,6 @@ pub struct Report {
     pub panic_counts: BTreeMap<String, usize>,
     /// Current A1 heap-allocation counts per budgeted hot-path area.
     pub alloc_counts: BTreeMap<String, usize>,
-    /// Current U1 unsafe-site counts per crate (crates with zero sites
-    /// are omitted).
-    pub unsafe_counts: BTreeMap<String, usize>,
     /// Every counted P1 panic site, attributed to its function.
     pub panic_sites: Vec<Site>,
     /// Every counted A1 allocation site, attributed to its function.
@@ -242,7 +241,6 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     rules::c1_protocol_constants(&ws, &mut report);
     rules::h1_workspace_deps(&ws, &mut report)?;
     callgraph::r1_determinism_taint(&ws, &mut report);
-    rules::u1_unsafe_audit(&ws, &mut report)?;
     rules::w1_wrapping_audit(&ws, &mut report);
     Ok(report)
 }
@@ -257,7 +255,6 @@ pub fn bless(root: &Path) -> Result<String, String> {
     let ws = Workspace::load(root)?;
     let counts = rules::panic_counts(&ws);
     let allocs = rules::alloc_counts(&ws);
-    let unsafes = rules::unsafe_counts(&ws);
     if let Some(old) = baseline::Baseline::load(&ws.root)? {
         let mut raised = Vec::new();
         for (name, &count) in &counts {
@@ -274,13 +271,6 @@ pub fn bless(root: &Path) -> Result<String, String> {
                 }
             }
         }
-        for (name, &count) in &unsafes {
-            if let Some(&budget) = old.unsafe_budgets.get(name) {
-                if count > budget {
-                    raised.push(format!("unsafe {name}: {count} > {budget}"));
-                }
-            }
-        }
         if !raised.is_empty() {
             return Err(format!(
                 "refusing to bless: budgets only ratchet downward ({}); \
@@ -293,12 +283,10 @@ pub fn bless(root: &Path) -> Result<String, String> {
     let new = baseline::Baseline {
         budgets: counts.clone(),
         alloc_budgets: allocs.clone(),
-        unsafe_budgets: unsafes.clone(),
     };
     new.store(&ws.root)?;
     let mut summary: Vec<String> = counts.iter().map(|(n, c)| format!("{n} = {c}")).collect();
     summary.extend(allocs.iter().map(|(n, c)| format!("alloc {n} = {c}")));
-    summary.extend(unsafes.iter().map(|(n, c)| format!("unsafe {n} = {c}")));
     Ok(format!(
         "blessed {} ({})",
         baseline::BASELINE_FILE,

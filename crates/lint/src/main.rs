@@ -46,13 +46,13 @@ fn parse_args() -> Result<Args, String> {
                      Rules: P1 panic budget, A1 allocation budget (crypto hot\n\
                      path), C1 protocol-constant consistency, H1 workspace\n\
                      dependencies and lints, R1 determinism taint (hash-ordered\n\
-                     iteration reachable from the Simulator), U1 unsafe/SAFETY\n\
-                     audit, W1 wrapping-arithmetic discipline on the hot path.\n\
-                     Clock, thread and heap bans live in clippy.toml.\n\
+                     iteration reachable from the Simulator), W1 wrapping-\n\
+                     arithmetic discipline on the hot path. Clock, thread and\n\
+                     heap bans live in clippy.toml, SAFETY comments in clippy.\n\
                      Suppress one finding with `// gfwlint: allow(RULE)`.\n\n\
                      --root DIR     lint this workspace (default: nearest enclosing workspace)\n\
                      --json         machine-readable output (incl. per-function budget sites)\n\
-                     --bless        regenerate the P1/A1/U1 baselines (budgets only ratchet down)\n\
+                     --bless        regenerate the P1/A1 baselines (budgets only ratchet down)\n\
                      --explain RULE print a rule's rationale and escape hatch"
                 );
                 std::process::exit(0);

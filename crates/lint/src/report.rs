@@ -33,14 +33,6 @@ pub fn render_human(report: &Report) -> String {
             .collect();
         out.push_str(&format!("alloc sites (A1): {}\n", counts.join(" ")));
     }
-    if !report.unsafe_counts.is_empty() {
-        let counts: Vec<String> = report
-            .unsafe_counts
-            .iter()
-            .map(|(n, c)| format!("{n}={c}"))
-            .collect();
-        out.push_str(&format!("unsafe sites (U1): {}\n", counts.join(" ")));
-    }
     if report.is_clean() {
         out.push_str(&format!(
             "gfw-lint: clean ({} files scanned, {} allow escape(s) honored)\n",
@@ -94,13 +86,6 @@ pub fn render_json(report: &Report) -> String {
     }
     out.push_str("\n  },\n  \"alloc_counts\": {");
     for (i, (name, count)) in report.alloc_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}: {}", json_str(name), count));
-    }
-    out.push_str("\n  },\n  \"unsafe_counts\": {");
-    for (i, (name, count)) in report.unsafe_counts.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -4,11 +4,11 @@
 //! shared [`Report`]. Token rules operate on the comment/string-stripped
 //! `code` text produced by [`crate::scan`], so tokens inside comments,
 //! doc examples rendered as comments, or string literals never fire;
-//! the structural rules (U1, W1) and the budget attribution query the
+//! the structural rule (W1) and the budget attribution query the
 //! per-file item tree ([`crate::items`]) directly.
 
 use crate::baseline::{Baseline, BASELINE_FILE};
-use crate::items::{is_int_type, UnsafeKind};
+use crate::items::is_int_type;
 use crate::lex::TokKind;
 use crate::scan::{has_token, SourceFile};
 use crate::{AllowUse, Finding, Report, Site, Workspace};
@@ -499,18 +499,20 @@ pub fn c1_protocol_constants(ws: &Workspace, report: &mut Report) {
 /// and every member inherits the workspace lints.
 pub fn h1_workspace_deps(ws: &Workspace, report: &mut Report) -> Result<(), String> {
     let root_manifest = ws.root.join("Cargo.toml");
+    let mut island_lints = Vec::new();
     if root_manifest.is_file() {
         let text = read_manifest(&root_manifest, report)?;
         h1_check_manifest("Cargo.toml", &text, report);
+        island_lints = lint_entries(&text, "workspace.lints")
+            .into_iter()
+            .map(|e| e.replace("unsafe_code = \"forbid\"", "unsafe_code = \"deny\""))
+            .collect();
     }
-    let unsafe_budgets = Baseline::load(&ws.root)?
-        .map(|b| b.unsafe_budgets)
-        .unwrap_or_default();
     for c in &ws.crates {
         let rel = format!("crates/{}/Cargo.toml", c.name);
         let text = read_manifest(&c.path.join("Cargo.toml"), report)?;
         h1_check_manifest(&rel, &text, report);
-        h1_check_lints(&rel, &text, unsafe_budgets.contains_key(&c.name), report);
+        h1_check_lints(&rel, &text, &island_lints, report);
     }
     Ok(())
 }
@@ -520,11 +522,32 @@ fn read_manifest(path: &std::path::Path, report: &mut Report) -> Result<String, 
     std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// The entries of a manifest's `[<prefix>.*]` tables, one
+/// `table key = value` string each (`rust unsafe_code = "forbid"`).
+fn lint_entries(text: &str, prefix: &str) -> Vec<String> {
+    let mut table = None;
+    let mut out = Vec::new();
+    for raw in text.lines() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            let name = line.trim_matches(['[', ']']);
+            table = name
+                .strip_prefix(prefix)
+                .and_then(|t| t.strip_prefix('.'))
+                .map(str::to_string);
+        } else if let (Some(t), false) = (&table, line.is_empty()) {
+            out.push(format!("{t} {line}"));
+        }
+    }
+    out
+}
+
 /// Check that a member manifest opts into the workspace lints with
-/// `[lints] workspace = true`. Only a crate with an `[unsafe-budget]`
-/// entry may carry its own `[lints.*]` tables, to relax `unsafe_code`
-/// from `forbid` to `deny` for its audited islands.
-fn h1_check_lints(rel: &str, text: &str, unsafe_budgeted: bool, report: &mut Report) {
+/// `[lints] workspace = true`. A crate with audited `unsafe` islands
+/// may instead carry its own `[lints.*]` tables, if they repeat the
+/// workspace lints (`island_lints`) with only `unsafe_code` relaxed
+/// from `forbid` to `deny`.
+fn h1_check_lints(rel: &str, text: &str, island_lints: &[String], report: &mut Report) {
     let mut section = "";
     let mut own_table = None;
     for (idx, raw) in text.lines().enumerate() {
@@ -543,14 +566,16 @@ fn h1_check_lints(rel: &str, text: &str, unsafe_budgeted: bool, report: &mut Rep
         None => (
             0,
             "no `[lints] workspace = true`: every member inherits the workspace lints \
-             (`unsafe_code`, `missing_docs`, `allow_attributes_without_reason`)"
+             (`unsafe_code`, `missing_docs`, `allow_attributes_without_reason`, \
+             `undocumented_unsafe_blocks`, `missing_safety_doc`)"
                 .to_string(),
         ),
-        Some(_) if unsafe_budgeted => return,
+        Some(_) if lint_entries(text, "lints") == island_lints => return,
         Some(line) => (
             line,
-            "`[lints]` does not say `workspace = true`; only a crate with an \
-             [unsafe-budget] entry may replace the workspace lints"
+            "`[lints]` does not say `workspace = true`; a crate's own `[lints.*]` \
+             tables must repeat the workspace lints, relaxing only `unsafe_code` \
+             to `deny`"
                 .to_string(),
         ),
     };
@@ -799,141 +824,6 @@ fn parse_int_const(file: &SourceFile, name: &str) -> Option<(usize, usize)> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     Some((digits.parse().ok()?, idx + 1))
-}
-
-// ---------------------------------------------------------------------------
-// U1: unsafe audit.
-
-/// Count non-test `unsafe` sites (blocks, fns, impls) per crate. Crates
-/// with zero sites are omitted — the `[unsafe-budget]` table only lists
-/// crates that actually carry unsafe code.
-pub fn unsafe_counts(ws: &Workspace) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for c in &ws.crates {
-        let prefix = format!("crates/{}/src/", c.name);
-        let count: usize = ws
-            .sources_under(&prefix)
-            .map(|f| f.items.unsafe_sites.iter().filter(|u| !u.in_test).count())
-            .sum();
-        if count > 0 {
-            counts.insert(c.name.clone(), count);
-        }
-    }
-    counts
-}
-
-/// Does the unsafe site at 1-based `line` have an adjacent `// SAFETY:`
-/// comment — trailing on the same line, or on the contiguous run of
-/// comment-only lines directly above?
-fn has_safety_comment(file: &SourceFile, line: usize) -> bool {
-    let idx = line - 1;
-    if file
-        .lines
-        .get(idx)
-        .is_some_and(|l| l.comment.contains("SAFETY:"))
-    {
-        return true;
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &file.lines[i];
-        if !l.code.trim().is_empty() {
-            // An attribute line between the comment and the site is
-            // fine; real code is not.
-            if l.code.trim_start().starts_with("#[") {
-                continue;
-            }
-            return false;
-        }
-        if l.comment.contains("SAFETY:") {
-            return true;
-        }
-        if l.comment.trim().is_empty() && l.raw.trim().is_empty() {
-            return false; // blank line breaks adjacency
-        }
-    }
-    false
-}
-
-/// U1: every non-test `unsafe` site needs a `// SAFETY:` comment, and
-/// per-crate site counts stay within `[unsafe-budget]` (ratchet-down).
-///
-/// This exists *ahead* of the ROADMAP-4 SIMD work on purpose: the first
-/// `unsafe` block to land in `sscrypto` arrives into a workspace where
-/// the audit discipline is already enforced, not retrofitted.
-pub fn u1_unsafe_audit(ws: &Workspace, report: &mut Report) -> Result<(), String> {
-    let counts = unsafe_counts(ws);
-    report.unsafe_counts = counts.clone();
-
-    // Per-site SAFETY comments.
-    for c in &ws.crates {
-        let prefix = format!("crates/{}/src/", c.name);
-        let rels: Vec<String> = ws.sources_under(&prefix).map(|f| f.rel.clone()).collect();
-        for rel in rels {
-            let file = &ws.sources[&rel];
-            let missing: Vec<(usize, UnsafeKind)> = file
-                .items
-                .unsafe_sites
-                .iter()
-                .filter(|u| !u.in_test && !has_safety_comment(file, u.line))
-                .map(|u| (u.line, u.kind))
-                .collect();
-            for (line, kind) in missing {
-                if allowed(report, "U1", &ws.sources[&rel], line - 1) {
-                    continue;
-                }
-                let what = match kind {
-                    UnsafeKind::Block => "unsafe block",
-                    UnsafeKind::Fn => "unsafe fn",
-                    UnsafeKind::Impl => "unsafe impl",
-                };
-                report.findings.push(Finding {
-                    rule: "U1",
-                    file: rel.clone(),
-                    line,
-                    message: format!(
-                        "{what} without an adjacent `// SAFETY:` comment; state the \
-                         invariant that makes this sound (same line or the comment \
-                         block directly above)"
-                    ),
-                });
-            }
-        }
-    }
-
-    // Per-crate budgets.
-    if counts.is_empty() {
-        return Ok(());
-    }
-    let Some(baseline) = Baseline::load(&ws.root)? else {
-        return Ok(()); // P1 already reports the missing baseline file
-    };
-    for (name, &count) in &counts {
-        match baseline.unsafe_budgets.get(name) {
-            None => report.findings.push(Finding {
-                rule: "U1",
-                file: BASELINE_FILE.to_string(),
-                line: 0,
-                message: format!(
-                    "crate `{name}` has {count} unsafe site(s) but no [unsafe-budget] \
-                     entry; add one by hand, then `gfw-lint --bless`"
-                ),
-            }),
-            Some(&budget) if count > budget => report.findings.push(Finding {
-                rule: "U1",
-                file: format!("crates/{name}/src/lib.rs"),
-                line: 1,
-                message: format!(
-                    "crate `{name}` has {count} unsafe site(s) in non-test code, over \
-                     its budget of {budget}; remove some or raise the budget by hand \
-                     in {BASELINE_FILE}"
-                ),
-            }),
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@
 //! * the *code text* per line — comments and string/char literal
 //!   contents blanked out (columns preserved), so a `thread_rng` inside
 //!   a doc comment or a format string never trips a token rule;
-//! * the *comment text* per line, for `// gfwlint: allow(RULE)` escapes
-//!   and the U1 `// SAFETY:` audit;
+//! * the *comment text* per line, for `// gfwlint: allow(RULE)` escapes;
 //! * whether the line sits inside a `#[cfg(test)]`-gated item —
 //!   **exact**, including nested `mod tests` and `#[cfg(all(test, …))]`
 //!   forms, because it comes from the item tree rather than a regex;
-//! * the full token stream and item tree themselves, which the R1/U1/W1
+//! * the full token stream and item tree themselves, which the R1 and W1
 //!   rules query directly.
 
 use crate::items::{self, ItemTree};
@@ -49,7 +48,7 @@ pub struct SourceFile {
     pub text: String,
     /// The token stream for `text` (spans tile the source exactly).
     pub toks: Vec<Tok>,
-    /// The structural item tree (fns, cfg regions, unsafe sites).
+    /// The structural item tree (fns, cfg regions, integer fields).
     pub items: ItemTree,
 }
 

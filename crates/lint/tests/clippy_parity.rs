@@ -2,8 +2,10 @@
 //! scanned for by token. The root `clippy.toml` bans the host clock,
 //! threads outside `experiments::runner` and `BinaryHeap` outside
 //! `netsim::eventq`; `[workspace.lints]` forbids `unsafe_code`, warns on
-//! `missing_docs` and asks every `#[allow]` for a reason; H1 makes every
-//! member inherit those lints.
+//! `missing_docs`, asks every `#[allow]` for a reason, every `unsafe`
+//! block for a `// SAFETY:` comment and every `unsafe fn` for a
+//! `# Safety` section (private ones too, by `clippy.toml`'s
+//! `check-private-items`); H1 makes every member inherit those lints.
 //!
 //! Each test runs clippy with the repository's real `clippy.toml` on a
 //! small compilable fixture and pins every diagnostic by `file:line` and
@@ -184,4 +186,34 @@ fn workspace_lints_reach_every_member() {
         .map(|f| (f.rule, f.file.as_str(), f.line))
         .collect();
     assert_eq!(spans, vec![("H1", "crates/noattrs/Cargo.toml", 0)]);
+}
+
+#[test]
+fn unsafe_islands_document_every_site() {
+    let fixture = "safety_docs";
+    assert_eq!(
+        workspace_lints(&fixture_root(fixture).join("Cargo.toml")),
+        workspace_lints(&repo_root().join("Cargo.toml")),
+        "the fixture must carry the root's workspace lints verbatim"
+    );
+    // The private `unsafe fn` without a `# Safety` section, and the
+    // `unsafe` block without a `// SAFETY:` comment; the documented fn
+    // and the commented blocks pass.
+    assert_clippy(
+        fixture,
+        &[
+            ("crates/island/src/lib.rs:16", "clippy::missing_safety_doc"),
+            (
+                "crates/island/src/lib.rs:24",
+                "clippy::undocumented_unsafe_blocks",
+            ),
+        ],
+    );
+    // Its own lint tables repeat the workspace's with `unsafe_code`
+    // relaxed to `deny`, which H1 accepts.
+    let report = run(&Options {
+        root: fixture_root(fixture),
+    })
+    .expect("lint run failed");
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }

@@ -74,8 +74,9 @@ impl ClientSession {
                 Enc::Stream(enc) => {
                     // A stream cipher's keystream is continuous, so two
                     // sequential encrypt calls yield the same bytes as
-                    // one call on the concatenation.
-                    let mut out = Vec::new();
+                    // one call on the concatenation. The buffer holds
+                    // IV, spec and data from the start.
+                    let mut out = Vec::with_capacity(enc.iv_len() + spec.len() + data.len());
                     enc.encrypt_into(&spec, &mut out);
                     enc.encrypt_into(data, &mut out);
                     out
@@ -138,6 +139,14 @@ mod tests {
 
         // Client → server: first packet with HTTP request.
         let wire = client.send(b"GET / HTTP/1.1\r\n\r\n");
+        if method.kind() == sscrypto::method::Kind::Stream {
+            assert_eq!(
+                wire.capacity(),
+                wire.len(),
+                "{}: first send grew",
+                method.name()
+            );
+        }
         let actions = server.on_data(conn, &wire);
         assert_eq!(
             actions,

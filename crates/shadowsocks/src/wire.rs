@@ -53,15 +53,19 @@ impl StreamEncryptor {
         }
     }
 
+    /// Length of the IV this session prepends to its first output.
+    pub fn iv_len(&self) -> usize {
+        self.iv.len()
+    }
+
     /// Encrypt `plain`, appending to `out` (IV first on the first call).
     /// The ciphertext is produced in place on `out`'s tail: no
     /// intermediate buffer.
     pub fn encrypt_into(&mut self, plain: &[u8], out: &mut Vec<u8>) {
-        out.reserve(plain.len() + self.iv.len());
-        if !self.iv_sent {
-            out.extend_from_slice(&self.iv);
-            self.iv_sent = true;
-        }
+        let iv: &[u8] = if self.iv_sent { &[] } else { &self.iv };
+        out.reserve(iv.len() + plain.len());
+        out.extend_from_slice(iv);
+        self.iv_sent = true;
         let start = out.len();
         out.extend_from_slice(plain);
         self.cipher.apply(&mut out[start..]);

@@ -171,7 +171,7 @@ impl Aes {
     }
 
     /// Encrypt a single 16-byte block in place.
-    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if self.hw {
@@ -186,7 +186,7 @@ impl Aes {
     /// Encrypt four contiguous 16-byte blocks in place — the batch
     /// shape of CTR, GCM and CFB decryption, pipelined on the AES-NI
     /// path.
-    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
     pub fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
         #[cfg(target_arch = "x86_64")]
         if self.hw {
@@ -307,7 +307,7 @@ fn sub_bytes(w: u32) -> u32 {
 /// instead. `hw_schedule_matches_scalar` pins all three sizes to the
 /// same round keys.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
 fn hw_round_keys(key: &[u8]) -> [[u8; 16]; MAX_ROUND_KEYS] {
     match key.len() {
         16 => {

@@ -40,7 +40,7 @@ impl Lanes {
 }
 
 /// Run the 4-lane kernel named by `lanes` over one batch of states.
-#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
 fn blocks4_dispatch(lanes: Lanes, states: &[[u32; 16]; 4], out: &mut [u8; 256]) {
     #[cfg(target_arch = "x86_64")]
     if lanes != Lanes::Scalar {
@@ -139,7 +139,7 @@ impl ChaCha20 {
     /// kernel; advances the counter by 8. Only reachable when
     /// [`Lanes::pick`] chose `Avx2`.
     #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
     fn next_blocks8(&mut self, out: &mut [u8; 512]) {
         let mut states = [self.state; 8];
         for (l, st) in states.iter_mut().enumerate() {
@@ -279,7 +279,7 @@ impl ChaCha20Legacy {
     /// Eight consecutive keystream blocks on the AVX2 kernel, carrying
     /// the 64-bit counter; advances it by 8.
     #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
     fn next_blocks8(&mut self, out: &mut [u8; 512]) {
         let base = (self.state[13] as u64) << 32 | self.state[12] as u64;
         let mut states = [self.state; 8];

@@ -107,7 +107,7 @@ impl GHash {
     }
 
     /// `z · H`, dispatching to the backend picked at construction.
-    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+    #[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
     fn mul_h(&self, z: u128) -> u128 {
         #[cfg(target_arch = "x86_64")]
         if self.hw {

@@ -76,7 +76,7 @@ impl Sha1 {
 }
 
 /// Compress whole blocks on the path `hw` picked.
-#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
 fn compress(state: &mut [u32; 5], hw: bool, blocks: &[[u8; BLOCK_LEN]]) {
     #[cfg(target_arch = "x86_64")]
     if hw {

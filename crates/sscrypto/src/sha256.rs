@@ -91,7 +91,7 @@ impl Sha256 {
 }
 
 /// Compress whole blocks on the path `hw` picked.
-#[allow(unsafe_code, reason = "audited dispatch into `crate::x86` (U1)")]
+#[allow(unsafe_code, reason = "audited dispatch into `crate::x86`")]
 fn compress(state: &mut [u32; 8], hw: bool, blocks: &[[u8; BLOCK_LEN]]) {
     #[cfg(target_arch = "x86_64")]
     if hw {

@@ -17,7 +17,7 @@
 
 #![allow(
     unsafe_code,
-    reason = "`std::arch` kernels; every unsafe site is audited by U1"
+    reason = "`std::arch` kernels; clippy asks each unsafe site for its SAFETY comment or `# Safety` doc"
 )]
 
 use core::arch::x86_64::*;

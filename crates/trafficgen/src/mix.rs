@@ -12,10 +12,18 @@
 //!
 //! Every payload byte generated here depends only on `(spec.seed,
 //! connection id)` via [`crate::profiles::conn_rng`] — the apps never draw
-//! from the shared simulator RNG. Connection ids are allocated at
-//! schedule-build time, before the event loop runs, so the hybrid
-//! engine's different event stream (fluid completions instead of
-//! per-segment deliveries) cannot reorder any draw. This is the
+//! from the shared simulator RNG. Each use has its own stream, keyed by
+//! a `STREAM_*` tag: the schedule, the server greeting, the client's
+//! first payload, the server response, the bulk-tail size, the
+//! Shadowsocks session and the relay target's page. The tail size has
+//! a stream of its own so that the server never builds or walks the
+//! response to reach it: a response is sized from the 0–2 draws that
+//! fix its length ([`Profile::server_response_len`]).
+//!
+//! Connection ids are allocated at schedule-build time, before the
+//! event loop runs, so the hybrid engine's different event stream
+//! (fluid completions instead of per-segment deliveries) cannot
+//! reorder any draw. This is the
 //! property that keeps `exp-baserate` byte-identical between the
 //! packet and hybrid engines and across `--jobs` counts.
 //!
@@ -44,6 +52,7 @@ const STREAM_SCHEDULE: u64 = 0x5C4E_D01E;
 const STREAM_GREETING: u64 = 0x6EE7_1239;
 const STREAM_FIRST: u64 = 0xF125_7000;
 const STREAM_RESPONSE: u64 = 0x2E59_0852;
+const STREAM_TAIL: u64 = 0x7A11_B0D7;
 const STREAM_SS: u64 = 0x55F1_0375;
 const STREAM_WEB: u64 = 0x3EB0_0000;
 
@@ -311,7 +320,8 @@ impl App for ProfileClient {
 /// client's first payload, stream the bulk tail, close. The greeting is
 /// sent as bytes, because the tap scores it as the connection's first
 /// payload; the response is a [`netsim::Payload::Synth`] message, built
-/// only if something reads it.
+/// only if something reads it. Greeting, response and tail size each
+/// come from their own [`conn_rng`] stream.
 struct ProfileServer {
     profile: Profile,
     seed: u64,
@@ -331,17 +341,17 @@ impl App for ProfileServer {
             AppEvent::Data { conn, .. } if self.responded.insert(conn) => {
                 // Nobody reads the response (the tap scored the
                 // client's first payload already), so it goes out as a
-                // description; the walk leaves `rng` where building it
-                // would, for the tail draw.
+                // description, sized from its length draws alone.
                 let key = conn_seed(self.seed ^ STREAM_RESPONSE, conn.0);
-                let mut rng = StdRng::seed_from_u64(key);
-                let len = self.profile.server_response_len(&mut rng);
+                let len = self.profile.server_response_len(key);
                 let synth = self.profile.response_synth();
                 match u16::try_from(len) {
                     Ok(len) => ctx.send_synth(conn, synth, key, len),
                     Err(_) => ctx.send(conn, synth(key)),
                 }
-                let tail = self.profile.draw_tail(&mut rng);
+                let tail = self
+                    .profile
+                    .draw_tail(&mut conn_rng(self.seed ^ STREAM_TAIL, conn.0));
                 if tail > 0 {
                     ctx.transfer(conn, tail);
                 } else {
@@ -573,6 +583,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each background connection's bulk tail is the size drawn from
+    /// its own tail stream: under the packet engine, the furthest
+    /// bulk-stream offset a background server sends equals
+    /// `draw_tail(conn_rng(seed ^ STREAM_TAIL, id))`, and a
+    /// connection drawing no tail sends no bulk segment.
+    #[test]
+    fn bulk_tails_come_from_the_tail_stream() {
+        let spec = MixSpec {
+            background_flows: 400,
+            base_rate: 0,
+            ..Default::default()
+        };
+        let config = SimConfig {
+            engine: EngineMode::Packet,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(config, 77);
+        let cap = sim.add_capture(Capture::all());
+        let handles = TrafficMix::install(&mut sim, &spec);
+        sim.run();
+        let profile_at: HashMap<SocketAddr, Profile> = handles
+            .servers
+            .iter()
+            .zip(Profile::all())
+            .map(|((_, addr), p)| (*addr, p))
+            .collect();
+        // Per connection: its profile and the bulk bytes sent.
+        let mut conns: HashMap<ConnId, (Profile, u64)> = HashMap::default();
+        for pkt in sim.capture(cap).packets() {
+            let Some(p) = profile_at.get(&pkt.src).filter(|_| pkt.has_payload()) else {
+                continue;
+            };
+            let (_, bulk) = conns.entry(pkt.conn).or_insert((*p, 0));
+            if let Payload::Bulk { offset, len, .. } = pkt.payload {
+                *bulk = (*bulk).max(offset + u64::from(len));
+            }
+        }
+        assert_eq!(conns.len(), 400);
+        let mut with_tail = 0;
+        for (conn, (p, bulk)) in &conns {
+            let want = p.draw_tail(&mut conn_rng(spec.seed ^ STREAM_TAIL, conn.0));
+            assert_eq!(*bulk, want, "{} {conn:?}", p.name);
+            with_tail += usize::from(want > 0);
+        }
+        assert!(with_tail > 200, "{with_tail} tails");
     }
 
     #[test]

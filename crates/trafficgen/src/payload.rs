@@ -9,109 +9,7 @@
 //! bytes to carry protocol-typical entropy, not uniform noise.
 
 use rand::Rng;
-use std::fmt;
-
-/// Where a generator's bytes go. The server-response generators
-/// ([`tls_server_flight`], [`ssh_kexinit`], [`dns_tcp_response`],
-/// [`http_response`], [`quic_like_payload`]) are each written once
-/// against this trait, so a message's bytes and the RNG draws that
-/// make them cannot drift apart: a `Vec<u8>` writes the bytes, and a
-/// `Count` (crate-private) only adds up their length. `Count` skips the
-/// random fills and letters by drawing the same number of RNG words,
-/// which relies on the vendored `rand`: `fill` of `n` bytes draws
-/// ⌈n/8⌉ words, and every `gen` or `gen_range` draws one.
-pub trait Sink: Default {
-    /// Bytes written so far.
-    fn written(&self) -> usize;
-    /// Append fixed bytes.
-    fn put(&mut self, bytes: &[u8]);
-    /// Append formatted text.
-    fn put_fmt(&mut self, args: fmt::Arguments<'_>);
-    /// Append `n` random bytes, as `rng.fill` draws them.
-    fn put_random(&mut self, n: usize, rng: &mut impl Rng);
-    /// Append one random lowercase ASCII letter.
-    fn put_letter(&mut self, rng: &mut impl Rng);
-    /// Append everything written to `other`.
-    fn append(&mut self, other: Self);
-    /// Cut back to the first `len` bytes.
-    fn truncate(&mut self, len: usize);
-    /// Rewrite the first byte as `f` of itself.
-    fn map_first(&mut self, f: impl FnOnce(u8) -> u8);
-}
-
-impl Sink for Vec<u8> {
-    fn written(&self) -> usize {
-        self.len()
-    }
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
-        // Writing into a `Vec` cannot fail.
-        let _ = std::io::Write::write_fmt(self, args);
-    }
-    fn put_random(&mut self, n: usize, rng: &mut impl Rng) {
-        let start = self.len();
-        self.resize(start + n, 0);
-        rng.fill(&mut self[start..]);
-    }
-    fn put_letter(&mut self, rng: &mut impl Rng) {
-        self.push(rng.gen_range(b'a'..=b'z'));
-    }
-    fn append(&mut self, mut other: Self) {
-        Vec::append(self, &mut other);
-    }
-    fn truncate(&mut self, len: usize) {
-        Vec::truncate(self, len);
-    }
-    fn map_first(&mut self, f: impl FnOnce(u8) -> u8) {
-        if let Some(b) = self.first_mut() {
-            *b = f(*b);
-        }
-    }
-}
-
-/// A [`Sink`] that keeps only the length of what is written, and draws
-/// from the RNG exactly what writing it would.
-#[derive(Default)]
-pub(crate) struct Count(usize);
-
-impl Sink for Count {
-    fn written(&self) -> usize {
-        self.0
-    }
-    fn put(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
-    }
-    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
-        // Counting cannot fail.
-        let _ = fmt::Write::write_fmt(self, args);
-    }
-    fn put_random(&mut self, n: usize, rng: &mut impl Rng) {
-        self.0 += n;
-        for _ in 0..n.div_ceil(8) {
-            rng.next_u64();
-        }
-    }
-    fn put_letter(&mut self, rng: &mut impl Rng) {
-        self.0 += 1;
-        rng.next_u64();
-    }
-    fn append(&mut self, other: Self) {
-        self.0 += other.0;
-    }
-    fn truncate(&mut self, len: usize) {
-        self.0 = self.0.min(len);
-    }
-    fn map_first(&mut self, _: impl FnOnce(u8) -> u8) {}
-}
-
-impl fmt::Write for Count {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
-}
+use std::io::Write;
 
 /// TLS protocol generation for the hello builders.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,24 +84,34 @@ pub fn entropy_payload(len: usize, target_bits: f64, rng: &mut impl Rng) -> Vec<
         .collect()
 }
 
+/// The number of digits `{x:x}` prints.
+fn hex_len(x: u32) -> usize {
+    (8 - x.leading_zeros() as usize / 4).max(1)
+}
+
 /// A plausible HTTP/1.1 GET request of roughly `len` bytes (padded with
 /// header filler). Always starts with `GET ` so protocol whitelists
-/// recognize it.
+/// recognize it. Built into one buffer of its final length.
 pub fn http_request(host: &str, len: usize, rng: &mut impl Rng) -> Vec<u8> {
+    const TAIL: &[u8] = b"\r\nUser-Agent: curl/7.68.0\r\nAccept: */*\r\n";
     let path_entropy: u32 = rng.gen();
-    let mut req = format!(
-        "GET /page/{path_entropy:x} HTTP/1.1\r\nHost: {host}\r\nUser-Agent: curl/7.68.0\r\nAccept: */*\r\n"
-    )
-    .into_bytes();
+    let head =
+        "GET /page/ HTTP/1.1\r\nHost: ".len() + hex_len(path_entropy) + host.len() + TAIL.len();
     // Pad with a filler header when the target length leaves room for
     // one ("X-Pad: " + at least one byte + CRLF + final CRLF).
-    let pad = len.saturating_sub(req.len() + 2 + 9);
+    let pad = len.saturating_sub(head + 2 + 9);
+    let total = head + if pad >= 1 { 9 + pad } else { 0 } + 2;
+    let mut req = Vec::with_capacity(total);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(req, "GET /page/{path_entropy:x} HTTP/1.1\r\nHost: {host}");
+    req.extend_from_slice(TAIL);
     if pad >= 1 {
         req.extend_from_slice(b"X-Pad: ");
-        req.extend(std::iter::repeat_n(b'a', pad));
+        req.resize(req.len() + pad, b'a');
         req.extend_from_slice(b"\r\n");
     }
     req.extend_from_slice(b"\r\n");
+    debug_assert_eq!(req.len(), total);
     req
 }
 
@@ -227,17 +135,10 @@ pub fn tls_client_hello(len: usize, rng: &mut impl Rng) -> Vec<u8> {
 }
 
 /// Append one TLS extension (`id`, length-prefixed `body`) to `out`.
-fn put_ext(out: &mut impl Sink, id: u16, body: &[u8]) {
-    out.put(&id.to_be_bytes());
-    out.put(&(body.len() as u16).to_be_bytes());
-    out.put(body);
-}
-
-/// [`put_ext`] for a body that was itself generated into a sink.
-fn put_ext_with<S: Sink>(out: &mut S, id: u16, body: S) {
-    out.put(&id.to_be_bytes());
-    out.put(&(body.written() as u16).to_be_bytes());
-    out.append(body);
+fn put_ext(out: &mut Vec<u8>, id: u16, body: &[u8]) {
+    out.extend_from_slice(&id.to_be_bytes());
+    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+    out.extend_from_slice(body);
 }
 
 /// A wire-accurate ClientHello: correct record + handshake framing,
@@ -344,51 +245,79 @@ pub fn tls_client_hello_realistic(
     rec
 }
 
+/// Append `n` random bytes to `out`, as `rng.fill` draws them.
+fn put_random(out: &mut Vec<u8>, n: usize, rng: &mut impl Rng) {
+    let start = out.len();
+    out.resize(start + n, 0);
+    rng.fill(&mut out[start..]);
+}
+
+/// Draw the body length of a [`tls_server_flight`]'s second record:
+/// the one draw that fixes the flight's length.
+pub fn tls_flight_body_len(version: TlsVersion, rng: &mut impl Rng) -> usize {
+    match version {
+        TlsVersion::V1_2 => rng.gen_range(900..=2400), // Certificate…
+        TlsVersion::V1_3 => rng.gen_range(700..=2000), // encrypted hs
+    }
+}
+
+/// The handshake body length of a [`tls_server_flight`]'s ServerHello:
+/// version, random, session id, suite and compression (72 bytes), then
+/// the extension block: supported_versions (6) and an x25519 key_share
+/// (40) under TLS 1.3, nothing under TLS 1.2.
+fn server_hello_body_len(version: TlsVersion) -> usize {
+    match version {
+        TlsVersion::V1_3 => 72 + 6 + 40,
+        TlsVersion::V1_2 => 72,
+    }
+}
+
+/// The length of `tls_server_flight(version, body_len, _)`: both record
+/// headers, the handshake header and both bodies.
+pub fn tls_server_flight_len(version: TlsVersion, body_len: usize) -> usize {
+    5 + 4 + server_hello_body_len(version) + 5 + body_len
+}
+
 /// A ServerHello-led response flight: record 1 is a wire-accurate
 /// ServerHello (echoing no session, picking a suite matching
 /// `version`); record 2 models the rest of the server's first flight —
 /// a Certificate chain under TLS 1.2, encrypted handshake records under
-/// TLS 1.3 — as a length-realistic high-entropy record.
-pub fn tls_server_flight<S: Sink>(version: TlsVersion, rng: &mut impl Rng) -> S {
-    let mut hs = S::default();
-    hs.put(&[0x03, 0x03]);
-    hs.put_random(32, rng); // random
-    hs.put(&[32]);
-    hs.put_random(32, rng); // session id
+/// TLS 1.3 — as a high-entropy record of `body_len` bytes (drawn by
+/// [`tls_flight_body_len`]).
+pub fn tls_server_flight(version: TlsVersion, body_len: usize, rng: &mut impl Rng) -> Vec<u8> {
+    let mut out = Vec::with_capacity(tls_server_flight_len(version, body_len));
+    let hs_len = server_hello_body_len(version);
+    out.extend_from_slice(&[0x16, 0x03, 0x03]);
+    out.extend_from_slice(&((hs_len + 4) as u16).to_be_bytes());
+    out.push(0x02); // ServerHello
+    out.extend_from_slice(&(hs_len as u32).to_be_bytes()[1..]);
+    out.extend_from_slice(&[0x03, 0x03]);
+    put_random(&mut out, 32, rng); // random
+    out.push(32);
+    put_random(&mut out, 32, rng); // session id
     let suite: u16 = match version {
         TlsVersion::V1_3 => 0x1301,
         TlsVersion::V1_2 => 0xc02f,
     };
-    hs.put(&suite.to_be_bytes());
-    hs.put(&[0x00]); // compression
-    let mut exts = S::default();
+    out.extend_from_slice(&suite.to_be_bytes());
+    out.push(0x00); // compression
+    out.extend_from_slice(&((hs_len - 72) as u16).to_be_bytes());
     if version == TlsVersion::V1_3 {
-        put_ext(&mut exts, 0x002b, &[0x03, 0x04]);
-        let mut ks = S::default();
-        ks.put(&[0x00, 0x1d, 0x00, 0x20]);
-        ks.put_random(32, rng); // x25519 share
-        put_ext_with(&mut exts, 0x0033, ks);
+        put_ext(&mut out, 0x002b, &[0x03, 0x04]);
+        // key_share: one x25519 share.
+        out.extend_from_slice(&[0x00, 0x33, 0x00, 0x24, 0x00, 0x1d, 0x00, 0x20]);
+        put_random(&mut out, 32, rng);
     }
-    hs.put(&(exts.written() as u16).to_be_bytes());
-    hs.append(exts);
-
-    let mut out = S::default();
-    out.put(&[0x16, 0x03, 0x03]);
-    out.put(&((hs.written() + 4) as u16).to_be_bytes());
-    out.put(&[0x02]); // ServerHello
-    let hl = hs.written() as u32;
-    out.put(&hl.to_be_bytes()[1..]);
-    out.append(hs);
 
     // Rest of the flight.
-    let (kind, lo, hi) = match version {
-        TlsVersion::V1_2 => (0x16u8, 900usize, 2400usize), // Certificate…
-        TlsVersion::V1_3 => (0x17u8, 700, 2000),           // encrypted hs
+    let kind = match version {
+        TlsVersion::V1_2 => 0x16u8,
+        TlsVersion::V1_3 => 0x17,
     };
-    let body_len = rng.gen_range(lo..=hi);
-    out.put(&[kind, 0x03, 0x03]);
-    out.put(&(body_len as u16).to_be_bytes());
-    out.put_random(body_len, rng);
+    out.extend_from_slice(&[kind, 0x03, 0x03]);
+    out.extend_from_slice(&(body_len as u16).to_be_bytes());
+    put_random(&mut out, body_len, rng);
+    debug_assert_eq!(out.len(), tls_server_flight_len(version, body_len));
     out
 }
 
@@ -432,41 +361,60 @@ const KEX_NAME_LISTS: &[&str] = &[
     "",
 ];
 
+/// The body of [`ssh_kexinit`] before padding: message type, cookie,
+/// the length-prefixed name-lists, first_kex_packet_follows and the
+/// reserved word.
+const KEXINIT_BODY_LEN: usize = {
+    let mut n = 1 + 16 + 1 + 4;
+    let mut i = 0;
+    while i < KEX_NAME_LISTS.len() {
+        n += 4 + KEX_NAME_LISTS[i].len();
+        i += 1;
+    }
+    n
+};
+
+/// Random padding of [`ssh_kexinit`]: at least 4 bytes, aligning
+/// packet_length + padding to 8 (cipher block).
+const KEXINIT_PAD: usize = {
+    let pad = 8 - (KEXINIT_BODY_LEN + 5) % 8;
+    if pad < 4 {
+        pad + 8
+    } else {
+        pad
+    }
+};
+
+/// The length of every [`ssh_kexinit`] packet.
+pub const SSH_KEXINIT_LEN: usize = 4 + 1 + KEXINIT_BODY_LEN + KEXINIT_PAD;
+
 /// An SSH_MSG_KEXINIT binary packet (RFC 4253 §6): framed length,
 /// random cookie, ASCII algorithm name-lists, random padding. This is
 /// the server's (or client's) first binary packet after the banner.
-pub fn ssh_kexinit<S: Sink>(rng: &mut impl Rng) -> S {
-    let mut body = S::default();
-    body.put(&[0x14]); // SSH_MSG_KEXINIT
-    body.put_random(16, rng); // cookie
+pub fn ssh_kexinit(rng: &mut impl Rng) -> Vec<u8> {
+    let mut out = Vec::with_capacity(SSH_KEXINIT_LEN);
+    out.extend_from_slice(&((KEXINIT_BODY_LEN + KEXINIT_PAD + 1) as u32).to_be_bytes());
+    out.push(KEXINIT_PAD as u8);
+    out.push(0x14); // SSH_MSG_KEXINIT
+    put_random(&mut out, 16, rng); // cookie
     for l in KEX_NAME_LISTS {
-        body.put(&(l.len() as u32).to_be_bytes());
-        body.put(l.as_bytes());
+        out.extend_from_slice(&(l.len() as u32).to_be_bytes());
+        out.extend_from_slice(l.as_bytes());
     }
-    body.put(&[0]); // first_kex_packet_follows
-    body.put(&[0, 0, 0, 0]); // reserved
-
-    // Pad so packet_length + padding aligns to 8 (cipher block).
-    let unpadded = body.written() + 5;
-    let mut pad = 8 - (unpadded % 8);
-    if pad < 4 {
-        pad += 8;
-    }
-    let mut out = S::default();
-    out.put(&((body.written() + pad + 1) as u32).to_be_bytes());
-    out.put(&[pad as u8]);
-    out.append(body);
-    out.put_random(pad, rng);
+    out.push(0); // first_kex_packet_follows
+    out.extend_from_slice(&[0, 0, 0, 0]); // reserved
+    put_random(&mut out, KEXINIT_PAD, rng);
+    debug_assert_eq!(out.len(), SSH_KEXINIT_LEN);
     out
 }
 
 const DNS_TLDS: &[&str] = &["com", "net", "org", "io", "cn", "dev"];
 
 /// Write a random lowercase DNS label of `len` bytes into `out`.
-fn push_label(out: &mut impl Sink, len: usize, rng: &mut impl Rng) {
-    out.put(&[len as u8]);
+fn push_label(out: &mut Vec<u8>, len: usize, rng: &mut impl Rng) {
+    out.push(len as u8);
     for _ in 0..len {
-        out.put_letter(rng);
+        out.push(rng.gen_range(b'a'..=b'z'));
     }
 }
 
@@ -499,31 +447,54 @@ pub fn dns_tcp_query(rng: &mut impl Rng) -> Vec<u8> {
     out
 }
 
+/// Draw the QNAME shape of a [`dns_tcp_response`]: its label length
+/// and TLD, the two draws that fix the response's length.
+pub fn dns_response_name(rng: &mut impl Rng) -> (usize, &'static str) {
+    let label_len = rng.gen_range(4..=12);
+    (label_len, DNS_TLDS[rng.gen_range(0..DNS_TLDS.len())])
+}
+
+/// The length of `dns_tcp_response(label_len, tld, _)`: the length
+/// prefix (2), header (12), QNAME (label, TLD and root), question type
+/// and class (4) and the answer (16).
+pub fn dns_tcp_response_len(label_len: usize, tld: &str) -> usize {
+    2 + 12 + (1 + label_len) + (1 + tld.len()) + 1 + 4 + 16
+}
+
 /// A DNS response over TCP: header with QR/RA set, the question echoed
-/// (fresh random QNAME — nobody correlates ids in the mix), and one
-/// A-record answer via name compression.
-pub fn dns_tcp_response<S: Sink>(rng: &mut impl Rng) -> S {
-    let mut msg = S::default();
+/// (fresh random QNAME of the shape [`dns_response_name`] drew — nobody
+/// correlates ids in the mix), and one A-record answer via name
+/// compression.
+pub fn dns_tcp_response(label_len: usize, tld: &str, rng: &mut impl Rng) -> Vec<u8> {
+    let len = dns_tcp_response_len(label_len, tld);
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&((len - 2) as u16).to_be_bytes());
     let id: u16 = rng.gen();
-    msg.put(&id.to_be_bytes());
-    msg.put(&[0x81, 0x80]); // QR + RD + RA, NOERROR
-    msg.put(&[0, 1, 0, 1, 0, 0, 0, 0]); // QD=1, AN=1
-    push_label(&mut msg, rng.gen_range(4..=12), rng);
-    let tld = DNS_TLDS[rng.gen_range(0..DNS_TLDS.len())];
-    msg.put(&[tld.len() as u8]);
-    msg.put(tld.as_bytes());
-    msg.put(&[0]);
-    msg.put(&[0, 1, 0, 1]); // A, IN
+    out.extend_from_slice(&id.to_be_bytes());
+    out.extend_from_slice(&[0x81, 0x80]); // QR + RD + RA, NOERROR
+    out.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0]); // QD=1, AN=1
+    push_label(&mut out, label_len, rng);
+    out.push(tld.len() as u8);
+    out.extend_from_slice(tld.as_bytes());
+    out.push(0);
+    out.extend_from_slice(&[0, 1, 0, 1]); // A, IN
 
     // Answer: pointer to offset 12, A, IN, TTL, 4-byte address.
-    msg.put(&[0xc0, 0x0c, 0, 1, 0, 1]);
-    msg.put(&[0, 0, 0x0e, 0x10]); // TTL 3600
-    msg.put(&[0, 4]);
-    msg.put_random(4, rng);
-    let mut out = S::default();
-    out.put(&(msg.written() as u16).to_be_bytes());
-    out.append(msg);
+    out.extend_from_slice(&[0xc0, 0x0c, 0, 1, 0, 1]);
+    out.extend_from_slice(&[0, 0, 0x0e, 0x10]); // TTL 3600
+    out.extend_from_slice(&[0, 4]);
+    put_random(&mut out, 4, rng);
+    debug_assert_eq!(out.len(), len);
     out
+}
+
+/// The fixed head of every [`http_response`]: the header block (its
+/// ETag always 8 hex digits) and the body's opening up to `<title>`.
+const HTTP_RESPONSE_HEAD: usize = 157;
+
+/// The length of `http_response(len, _)`.
+pub fn http_response_len(len: usize) -> usize {
+    len.max(HTTP_RESPONSE_HEAD)
 }
 
 /// An HTTP/1.1 200 response of `len` bytes: realistic header block,
@@ -531,36 +502,40 @@ pub fn dns_tcp_response<S: Sink>(rng: &mut impl Rng) -> S {
 /// shorter than its fixed head (the header block and the body's
 /// opening up to `<title>`), so a small `len` still gives a
 /// well-formed response.
-pub fn http_response<S: Sink>(len: usize, rng: &mut impl Rng) -> S {
+pub fn http_response(len: usize, rng: &mut impl Rng) -> Vec<u8> {
     let etag: u32 = rng.gen();
-    let mut out = S::default();
-    out.put_fmt(format_args!(
+    let total = http_response_len(len);
+    // The last word may run up to 9 letters and a space past `total`.
+    let mut out = Vec::with_capacity(total + 10);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 200 OK\r\nServer: nginx/1.18.0\r\n\
          Content-Type: text/html; charset=utf-8\r\n\
          ETag: \"{etag:08x}\"\r\nConnection: keep-alive\r\n\r\n"
-    ));
-    out.put(b"<!doctype html><html><head><title>");
-    let head = out.written();
-    while out.written() < len {
+    );
+    out.extend_from_slice(b"<!doctype html><html><head><title>");
+    debug_assert_eq!(out.len(), HTTP_RESPONSE_HEAD);
+    while out.len() < len {
         // Lowercase words separated by spaces: text-like entropy.
         let wl = rng.gen_range(2..=9);
         for _ in 0..wl {
-            out.put_letter(rng);
+            out.push(rng.gen_range(b'a'..=b'z'));
         }
-        out.put(b" ");
+        out.push(b' ');
     }
-    out.truncate(len.max(head));
+    out.truncate(total);
     out
 }
 
-/// A QUIC-long-header-shaped payload: uniformly random bytes with the
-/// top two bits of byte 0 forced to `11` (long header form + fixed
-/// bit), the shape of an Initial packet seen mid-path. High entropy,
-/// not in any plaintext exemption class.
-pub fn quic_like_payload<S: Sink>(len: usize, rng: &mut impl Rng) -> S {
-    let mut out = S::default();
-    out.put_random(len.max(1), rng);
-    out.map_first(|b| 0xc0 | (b & 0x3f));
+/// A QUIC-long-header-shaped payload of `len.max(1)` bytes: uniformly
+/// random bytes with the top two bits of byte 0 forced to `11` (long
+/// header form + fixed bit), the shape of an Initial packet seen
+/// mid-path. High entropy, not in any plaintext exemption class.
+pub fn quic_like_payload(len: usize, rng: &mut impl Rng) -> Vec<u8> {
+    let mut out = vec![0u8; len.max(1)];
+    rng.fill(&mut out[..]);
+    out[0] = 0xc0 | (out[0] & 0x3f);
     out
 }
 
@@ -588,7 +563,54 @@ mod tests {
         }
     }
 
+    #[test]
+    fn hex_len_counts_printed_digits() {
+        for shift in 0..32 {
+            for x in [1u32 << shift, (1u32 << shift) - 1, (1u32 << shift) + 1] {
+                assert_eq!(hex_len(x), format!("{x:x}").len(), "{x:#x}");
+            }
+        }
+        assert_eq!(hex_len(0), 1);
+        assert_eq!(hex_len(u32::MAX), 8);
+    }
+
+    /// `http_request` as it was first written, formatting its head and
+    /// then growing it by the pad: the oracle for the presized builder.
+    fn http_request_oracle(host: &str, len: usize, rng: &mut impl Rng) -> Vec<u8> {
+        let path_entropy: u32 = rng.gen();
+        let mut req = format!(
+            "GET /page/{path_entropy:x} HTTP/1.1\r\nHost: {host}\r\nUser-Agent: curl/7.68.0\r\nAccept: */*\r\n"
+        )
+        .into_bytes();
+        let pad = len.saturating_sub(req.len() + 2 + 9);
+        if pad >= 1 {
+            req.extend_from_slice(b"X-Pad: ");
+            req.extend(std::iter::repeat_n(b'a', pad));
+            req.extend_from_slice(b"\r\n");
+        }
+        req.extend_from_slice(b"\r\n");
+        req
+    }
+
     proptest! {
+        /// The presized `http_request` writes the oracle's bytes and
+        /// draws what it draws, for any host and target length,
+        /// including targets too short to pad.
+        #[test]
+        fn http_request_matches_the_oracle(
+            seed in any::<u64>(),
+            host in proptest::collection::vec(b'a'..=b'z', 0..48),
+            len in 0usize..1200,
+        ) {
+            let host = String::from_utf8(host).unwrap();
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut slow = fast.clone();
+            let got = http_request(&host, len, &mut fast);
+            prop_assert_eq!(got.capacity(), got.len());
+            prop_assert_eq!(got, http_request_oracle(&host, len, &mut slow));
+            prop_assert_eq!(fast.next_u64(), slow.next_u64());
+        }
+
         /// A draw through `ModK` takes the same word and yields the same
         /// value as `gen_range(0..k)`, for every alphabet size, and
         /// leaves the RNG where `gen_range` leaves it.
@@ -705,7 +727,9 @@ mod tests {
     fn server_flight_leads_with_server_hello() {
         let mut rng = StdRng::seed_from_u64(10);
         for version in [TlsVersion::V1_2, TlsVersion::V1_3] {
-            let flight: Vec<u8> = tls_server_flight(version, &mut rng);
+            let body_len = tls_flight_body_len(version, &mut rng);
+            let flight = tls_server_flight(version, body_len, &mut rng);
+            assert_eq!(flight.len(), tls_server_flight_len(version, body_len));
             assert_eq!(&flight[..3], &[0x16, 0x03, 0x03]);
             assert_eq!(flight[5], 0x02, "ServerHello type");
             let rec1 = u16::from_be_bytes([flight[3], flight[4]]) as usize;
@@ -720,7 +744,8 @@ mod tests {
         let banner = ssh_banner(&mut rng);
         assert!(banner.starts_with(b"SSH-2.0-"));
         assert!(banner.ends_with(b"\r\n"));
-        let kex: Vec<u8> = ssh_kexinit(&mut rng);
+        let kex = ssh_kexinit(&mut rng);
+        assert_eq!(kex.len(), SSH_KEXINIT_LEN);
         let packet_len = u32::from_be_bytes([kex[0], kex[1], kex[2], kex[3]]) as usize;
         assert_eq!(packet_len + 4, kex.len(), "framed length");
         assert_eq!(kex[5], 0x14, "SSH_MSG_KEXINIT");
@@ -735,7 +760,9 @@ mod tests {
             let plen = u16::from_be_bytes([q[0], q[1]]) as usize;
             assert_eq!(plen + 2, q.len());
             assert_eq!(q[0], 0, "length prefix high byte is 0 (short message)");
-            let r: Vec<u8> = dns_tcp_response(&mut rng);
+            let (label_len, tld) = dns_response_name(&mut rng);
+            let r = dns_tcp_response(label_len, tld, &mut rng);
+            assert_eq!(r.len(), dns_tcp_response_len(label_len, tld));
             let plen = u16::from_be_bytes([r[0], r[1]]) as usize;
             assert_eq!(plen + 2, r.len());
         }
@@ -744,7 +771,7 @@ mod tests {
     #[test]
     fn quic_like_payload_has_long_header_bits() {
         let mut rng = StdRng::seed_from_u64(13);
-        let p: Vec<u8> = quic_like_payload(600, &mut rng);
+        let p = quic_like_payload(600, &mut rng);
         assert_eq!(p.len(), 600);
         assert_eq!(p[0] & 0xc0, 0xc0);
         assert!(shannon_entropy(&p) > 6.5);
@@ -753,7 +780,7 @@ mod tests {
     #[test]
     fn short_http_response_keeps_its_whole_head() {
         let mut rng = StdRng::seed_from_u64(15);
-        let r: Vec<u8> = http_response(100, &mut rng);
+        let r = http_response(100, &mut rng);
         assert!(r.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert!(r.windows(4).any(|w| w == b"\r\n\r\n"), "header block cut");
         assert!(r.ends_with(b"<title>"), "{}", r.escape_ascii());
@@ -763,7 +790,7 @@ mod tests {
     #[test]
     fn http_response_is_headed_and_sized() {
         let mut rng = StdRng::seed_from_u64(14);
-        let r: Vec<u8> = http_response(500, &mut rng);
+        let r = http_response(500, &mut rng);
         assert!(r.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert_eq!(r.len(), 500);
     }

@@ -24,7 +24,7 @@
 
 use crate::drivers::Sample;
 use crate::payload;
-use crate::payload::{Count, Sink, TlsVersion};
+use crate::payload::TlsVersion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -228,11 +228,10 @@ impl Profile {
         response(self.kind, rng)
     }
 
-    /// The length of [`Profile::server_response`] without building
-    /// it: advances `rng` exactly as `server_response` would, so later
-    /// draws from `rng` are unchanged.
-    pub fn server_response_len(&self, rng: &mut impl Rng) -> usize {
-        response::<Count>(self.kind, rng).written()
+    /// The length of `response_synth()(key)`, from the 0–2 draws that
+    /// fix it, without building the response.
+    pub fn server_response_len(&self, key: u64) -> usize {
+        Plan::draw(self.kind, &mut StdRng::seed_from_u64(key)).len()
     }
 
     /// [`Profile::server_response`] as a function of an RNG seed:
@@ -261,21 +260,70 @@ impl Profile {
     }
 }
 
-/// The server's response for a profile of kind `kind`, written into
-/// any sink; the one definition behind every response method.
-fn response<S: Sink>(kind: Kind, rng: &mut impl Rng) -> S {
-    match kind {
-        Kind::Http => {
-            let len = rng.gen_range(320..=900);
-            payload::http_response(len, rng)
+/// The server's response for a profile of kind `kind`: the one
+/// definition behind every response method.
+fn response(kind: Kind, rng: &mut impl Rng) -> Vec<u8> {
+    Plan::draw(kind, rng).build(rng)
+}
+
+/// A response's length-fixing values. Every response draws them first
+/// from its RNG, so its length is known from them alone, and
+/// [`Plan::build`] draws the rest of its bytes.
+enum Plan {
+    /// The requested length of an [`payload::http_response`].
+    Http(usize),
+    /// The second record's body length of a
+    /// [`payload::tls_server_flight`].
+    Tls(TlsVersion, usize),
+    /// A [`payload::ssh_kexinit`], whose length is fixed.
+    Ssh,
+    /// The label length and TLD of a [`payload::dns_tcp_response`].
+    Dns(usize, &'static str),
+    /// The requested length of a [`payload::quic_like_payload`].
+    Quic(usize),
+}
+
+impl Plan {
+    /// Draw the length-fixing values of a `kind` response.
+    fn draw(kind: Kind, rng: &mut impl Rng) -> Plan {
+        match kind {
+            Kind::Http => Plan::Http(rng.gen_range(320..=900)),
+            Kind::Tls12 => Plan::Tls(
+                TlsVersion::V1_2,
+                payload::tls_flight_body_len(TlsVersion::V1_2, rng),
+            ),
+            Kind::Tls13 => Plan::Tls(
+                TlsVersion::V1_3,
+                payload::tls_flight_body_len(TlsVersion::V1_3, rng),
+            ),
+            Kind::Ssh => Plan::Ssh,
+            Kind::DnsTcp => {
+                let (label_len, tld) = payload::dns_response_name(rng);
+                Plan::Dns(label_len, tld)
+            }
+            Kind::QuicLike => Plan::Quic(rng.gen_range(200..=900)),
         }
-        Kind::Tls12 => payload::tls_server_flight(TlsVersion::V1_2, rng),
-        Kind::Tls13 => payload::tls_server_flight(TlsVersion::V1_3, rng),
-        Kind::Ssh => payload::ssh_kexinit(rng),
-        Kind::DnsTcp => payload::dns_tcp_response(rng),
-        Kind::QuicLike => {
-            let len = rng.gen_range(200..=900);
-            payload::quic_like_payload(len, rng)
+    }
+
+    /// The length of the response [`Plan::build`] writes.
+    fn len(&self) -> usize {
+        match *self {
+            Plan::Http(len) => payload::http_response_len(len),
+            Plan::Tls(version, body_len) => payload::tls_server_flight_len(version, body_len),
+            Plan::Ssh => payload::SSH_KEXINIT_LEN,
+            Plan::Dns(label_len, tld) => payload::dns_tcp_response_len(label_len, tld),
+            Plan::Quic(len) => len.max(1),
+        }
+    }
+
+    /// Draw the rest of the response and write it.
+    fn build(self, rng: &mut impl Rng) -> Vec<u8> {
+        match self {
+            Plan::Http(len) => payload::http_response(len, rng),
+            Plan::Tls(version, body_len) => payload::tls_server_flight(version, body_len, rng),
+            Plan::Ssh => payload::ssh_kexinit(rng),
+            Plan::Dns(label_len, tld) => payload::dns_tcp_response(label_len, tld, rng),
+            Plan::Quic(len) => payload::quic_like_payload(len, rng),
         }
     }
 }
