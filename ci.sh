@@ -27,21 +27,14 @@ echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release --workspace"
-# --workspace so member binaries (exp-all, exp-impair, ...) are built
-# even from a clean checkout; the root package alone would not pull
-# dependency bins in.
+# --workspace so member binaries (exp-all, exp-scale, exp-baserate) are
+# built even from a clean checkout; the root package alone would not
+# pull dependency bins in.
 cargo build --release --workspace
 
 echo "==> exp-scale --quick smoke"
 # Hybrid-engine smoke: 10k bulk flows must all complete in-process.
 ./target/release/exp-scale --quick > /dev/null
-
-echo "==> exp-scale --quick jobs determinism smoke (GFWSIM_JOBS=1 vs 2)"
-# The quick run's cells are runner jobs, so the worker count must be a
-# pure throughput knob: the seed-pure stdout is byte-identical.
-GFWSIM_JOBS=1 ./target/release/exp-scale --quick > target/scale_jobs1.out
-GFWSIM_JOBS=2 ./target/release/exp-scale --quick > target/scale_jobs2.out
-cmp target/scale_jobs1.out target/scale_jobs2.out
 
 echo "==> exp-baserate --quick smoke"
 # Mixed-traffic smoke: one 5k-background mix point against the full
@@ -81,9 +74,11 @@ echo "==> forced-scalar crypto/entropy suites (GFWSIM_NO_HWCRYPTO=1)"
 GFWSIM_NO_HWCRYPTO=1 cargo test -q -p sscrypto -p analysis
 
 echo "==> cargo test --workspace"
-# Includes the golden-output suite (crates/experiments/tests/golden.rs),
-# whose exp-all case pins every experiment's quick-scale stdout;
-# re-bless with GFWSIM_BLESS=1 after intended changes.
+# Includes the determinism matrix (crates/experiments/tests/determinism.rs):
+# exp-all.txt pins every experiment's quick-scale stdout, and the matrix
+# holds a subset of it fixed across jobs, engine and hardware crypto,
+# as it does exp-scale --quick across jobs; re-bless with
+# GFWSIM_BLESS=1 after intended changes.
 cargo test -q --workspace
 
 echo "==> gfwsim-bench test suite"
@@ -102,12 +97,9 @@ echo "==> release tests with overflow checks (hot-path crates)"
 CARGO_TARGET_DIR=target/ovf RUSTFLAGS="-C overflow-checks=on" \
     cargo test -q --release -p sscrypto -p netsim -p gfw-core -p shadowsocks
 
-echo "==> exp-all --jobs 2 smoke (quick scale: fig2, fig7, fig10, fig11, table4)"
+echo "==> exp-all --jobs 2 smoke (quick scale: fig2, fig7, fig10, fig11, table4, impair)"
 # fig7 and fig11 launch the most probes, so they exercise the order
-# wake-up and the classifier hardest.
-./target/release/exp-all --jobs 2 --only fig2,fig7,fig10,fig11,table4 > /dev/null
-
-echo "==> exp-impair --jobs 2 smoke (quick scale)"
-./target/release/exp-impair --jobs 2 > /dev/null
+# wake-up and the classifier hardest; impair runs the lossy links.
+./target/release/exp-all --jobs 2 --only fig2,fig7,fig10,fig11,table4,impair > /dev/null
 
 echo "ci.sh: all gates passed"

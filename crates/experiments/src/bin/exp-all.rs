@@ -1,33 +1,82 @@
 //! Run every experiment and print the full report — the one-command
 //! regeneration of the paper's evaluation, executed through the
-//! deterministic parallel run engine.
-//!
-//! Flags:
-//!
-//! * `--paper` / `--full` — paper-comparable sample sizes (slower);
-//! * `--jobs N` — worker count (default: `GFWSIM_JOBS`, then available
-//!   parallelism); output is byte-identical for every `N`;
-//! * `--only <id,...>` — run a subset, e.g. `--only fig10,table5`;
-//! * `--stats` — append per-experiment simulator counters.
+//! deterministic parallel run engine. This is the one entry point for
+//! the paper's tables and figures; `--only <id>` runs a single one.
 
 use experiments::figures::{Entry, REGISTRY};
 use experiments::report::Table;
 use experiments::{runner, Scale};
 
-fn main() {
-    runner::configure_from_env();
-    let scale = Scale::from_args();
-    let seed = 2020;
+const USAGE: &str = "\
+usage: exp-all [--paper] [--jobs N] [--only ID,...] [--stats] [--help]
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let entries: Vec<&Entry> = match only_filter(&args) {
+  --paper        paper-comparable sample sizes (slower; default: quick)
+  --jobs N       worker count, a positive integer (default: GFWSIM_JOBS,
+                 then available parallelism); output is byte-identical
+                 for every N
+  --only ID,...  run a subset in registry order, e.g. --only fig10,table5
+  --stats        append per-experiment simulator counters
+  --help         print this message";
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    scale: Scale,
+    jobs: Option<usize>,
+    /// The raw `--only` list, resolved by [`only_filter`].
+    only: Option<String>,
+    stats: bool,
+}
+
+/// Read `exp-all`'s arguments (without the program name). `Ok(None)`
+/// means `--help`; an unknown argument or a bad `--jobs` is an error.
+fn parse_args(mut args: Vec<String>) -> Result<Option<Opts>, String> {
+    let jobs = runner::take_jobs_arg(&mut args)?;
+    let mut opts = Opts {
+        scale: Scale::Quick,
+        jobs,
+        only: None,
+        stats: false,
+    };
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--help" => return Ok(None),
+            "--paper" => opts.scale = Scale::Paper,
+            "--stats" => opts.stats = true,
+            "--only" => opts.only = Some(it.next().ok_or("--only needs a list of ids")?),
+            _ => match a.strip_prefix("--only=") {
+                Some(list) => opts.only = Some(list.to_string()),
+                None => return Err(format!("unknown argument `{a}`")),
+            },
+        }
+    }
+    Ok(Some(opts))
+}
+
+fn main() {
+    let opts = match parse_args(std::env::args().skip(1).collect()) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("exp-all: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Some(n) = opts.jobs {
+        runner::set_jobs(n);
+    }
+    let entries = match only_filter(opts.only.as_deref()) {
         Ok(entries) => entries,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
+    let (scale, seed) = (opts.scale, 2020);
 
     println!("==== gfwsim: regenerating all tables & figures (scale {scale:?}) ====\n");
     let specs: Vec<_> = entries
@@ -42,7 +91,7 @@ fn main() {
         println!("== {} ==\n{}", e.title, r.output);
     }
 
-    if show_stats {
+    if opts.stats {
         let mut t = Table::new(&[
             "experiment",
             "events",
@@ -128,33 +177,23 @@ fn events_per_packet(s: &netsim::sim::SimStats) -> String {
     format!("{:.2}", s.events as f64 / s.packets_sent as f64)
 }
 
-/// Resolve `--only a,b,c` against the registry, keeping registry order.
-fn only_filter(args: &[String]) -> Result<Vec<&'static Entry>, String> {
-    let mut wanted: Option<Vec<String>> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let list = if a == "--only" {
-            it.next().cloned().unwrap_or_default()
-        } else if let Some(v) = a.strip_prefix("--only=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        wanted = Some(
-            list.split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect(),
-        );
-    }
-    let Some(ids) = wanted else {
+/// Resolve an `--only a,b,c` list against the registry, keeping
+/// registry order; no list selects everything.
+fn only_filter(list: Option<&str>) -> Result<Vec<&'static Entry>, String> {
+    let Some(list) = list else {
         return Ok(REGISTRY.iter().collect());
     };
+    let ids: Vec<&str> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
     // Collect every unknown id before failing, so a mixed list reports
     // all its mistakes in one pass instead of one per invocation.
-    let unknown: Vec<&String> = ids
+    let unknown: Vec<&str> = ids
         .iter()
-        .filter(|id| !REGISTRY.iter().any(|e| e.id == **id))
+        .copied()
+        .filter(|id| !REGISTRY.iter().any(|e| e.id == *id))
         .collect();
     if !unknown.is_empty() {
         let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
@@ -165,18 +204,15 @@ fn only_filter(args: &[String]) -> Result<Vec<&'static Entry>, String> {
             .join("\n");
         return Err(format!("{listed}\nknown ids: {}", known.join(", ")));
     }
-    Ok(REGISTRY
-        .iter()
-        .filter(|e| ids.iter().any(|id| id == e.id))
-        .collect())
+    Ok(REGISTRY.iter().filter(|e| ids.contains(&e.id)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<Option<Opts>, String> {
+        parse_args(v.iter().map(|s| s.to_string()).collect())
     }
 
     #[test]
@@ -189,14 +225,62 @@ mod tests {
     }
 
     #[test]
+    fn every_accepted_form_parses() {
+        let quick = Opts {
+            scale: Scale::Quick,
+            jobs: None,
+            only: None,
+            stats: false,
+        };
+        assert_eq!(parse(&[]), Ok(Some(quick)));
+        let all = Opts {
+            scale: Scale::Paper,
+            jobs: Some(3),
+            only: Some("fig10,table5".to_string()),
+            stats: true,
+        };
+        let spaced = [
+            "--paper",
+            "--jobs",
+            "3",
+            "--only",
+            "fig10,table5",
+            "--stats",
+        ];
+        assert_eq!(parse(&spaced).as_ref(), Ok(&Some(all)));
+        let joined = ["--stats", "--only=fig10,table5", "--jobs=3", "--paper"];
+        assert_eq!(parse(&joined), parse(&spaced));
+        assert_eq!(parse(&["--paper", "--help"]), Ok(None));
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        for bad in [
+            &["--pape"][..],
+            &["--full"],
+            &["fig10"],
+            &["--jobs", "0"],
+            &["--jobs", "x"],
+            &["--jobs"],
+            &["--only"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
+        assert_eq!(
+            parse(&["--pape"]),
+            Err("unknown argument `--pape`".to_string())
+        );
+    }
+
+    #[test]
     fn no_only_selects_everything() {
-        let entries = only_filter(&args(&["--jobs", "2"])).unwrap();
+        let entries = only_filter(None).unwrap();
         assert_eq!(entries.len(), REGISTRY.len());
     }
 
     #[test]
     fn known_ids_keep_registry_order() {
-        let entries = only_filter(&args(&["--only", "fig10,fig2"])).unwrap();
+        let entries = only_filter(Some("fig10,fig2")).unwrap();
         let ids: Vec<&str> = entries.iter().map(|e| e.id).collect();
         assert_eq!(ids, ["fig2", "fig10"], "registry order, not list order");
     }
@@ -210,7 +294,7 @@ mod tests {
 
     #[test]
     fn mixed_unknown_ids_are_all_reported() {
-        let err = expect_err(only_filter(&args(&["--only", "fig99,fig2,bogus"])));
+        let err = expect_err(only_filter(Some("fig99,fig2,bogus")));
         assert!(err.contains("unknown experiment id `fig99`"), "{err}");
         assert!(err.contains("unknown experiment id `bogus`"), "{err}");
         assert!(!err.contains("`fig2`"), "known id flagged: {err}");
@@ -219,7 +303,7 @@ mod tests {
 
     #[test]
     fn single_unknown_id_message_is_stable() {
-        let err = expect_err(only_filter(&args(&["--only=fig99"])));
+        let err = expect_err(only_filter(Some("fig99")));
         assert!(err.starts_with("unknown experiment id `fig99`"), "{err}");
     }
 }

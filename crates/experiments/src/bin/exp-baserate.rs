@@ -1,12 +1,10 @@
-//! Base-rate sweep driver: detector precision/recall against the
-//! protocol-profile background mix, plus the machine-facing bench.
+//! Timing modes for the base-rate mix: detector precision/recall
+//! against the protocol-profile background mix is rendered by
+//! `exp-all --only baserate` (add `--paper` for the
+//! 1M-background-flows-per-point sweep); this binary times the mix.
 //!
-//! Modes:
+//! Modes (with none, it prints usage and exits 2):
 //!
-//! * `exp-baserate` — render the sweep table (Quick scale; pass
-//!   `--paper` for the 1M-background-flows-per-point version). Output
-//!   is seed-pure and engine-invariant; the golden snapshot lives in
-//!   `tests/golden/exp-baserate.txt`.
 //! * `exp-baserate --quick` — in-process smoke run: one mix point
 //!   under the hybrid engine, printing a one-line summary. Used by
 //!   `ci.sh`.
@@ -20,10 +18,11 @@
 
 use experiments::figures::baserate;
 use experiments::runner;
-use experiments::Scale;
 use netsim::EngineMode;
 
 const SEED: u64 = 2020;
+
+const USAGE: &str = "usage: exp-baserate --quick | --bench | --measure <packet|hybrid> <flows>";
 
 /// Base rate used by the bench configurations: 1:1,000 sits in the
 /// middle of the sweep and keeps the Shadowsocks side non-trivial.
@@ -202,8 +201,6 @@ fn main() {
         return;
     }
 
-    let scale = Scale::from_args();
-    println!("== Base-rate sweep (extension) ==  (scale {scale:?}, seed {SEED})\n");
-    let result = baserate::run(scale, SEED);
-    println!("{result}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }

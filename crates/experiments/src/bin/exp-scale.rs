@@ -8,12 +8,11 @@
 //!   and peak RSS at 10k/100k flows for both engines plus 1M flows
 //!   for the hybrid engine, as one simulator and as 8 independent
 //!   cells run as runner jobs. Nothing is written to disk.
-//! * `exp-scale --quick [--flows N]` — in-process smoke run: N flows
-//!   (default 10k) split over 4 cells, honouring `GFWSIM_ENGINE` and
-//!   `--jobs`/`GFWSIM_JOBS`. Seed-pure counters go to stdout —
-//!   byte-identical at any worker count, which is what the `ci.sh`
-//!   jobs smoke step diffs — while wall-clock and RSS go to stderr.
-//!   Used by `ci.sh`.
+//! * `exp-scale --quick` — in-process smoke run: 10k flows split over
+//!   4 cells, honouring `GFWSIM_ENGINE` and `--jobs`/`GFWSIM_JOBS`.
+//!   Seed-pure counters go to stdout — byte-identical at any worker
+//!   count, which the determinism suite diffs — while wall-clock and
+//!   RSS go to stderr. Used by `ci.sh`.
 //! * `exp-scale --measure <engine> <flows> [<cells>]` — child mode:
 //!   runs one configuration (default 1 cell) on `--jobs` workers and
 //!   prints `key=value` lines for the parent.
@@ -177,12 +176,7 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--quick") {
-        let flows: usize = args
-            .iter()
-            .position(|a| a == "--flows")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
+        let flows: usize = 10_000;
         let engine = experiments::engine_mode();
         #[expect(
             clippy::disallowed_methods,
@@ -195,9 +189,9 @@ fn main() {
             m.completed, flows as u64,
             "exp-scale --quick: not every transfer completed"
         );
-        // Stdout carries only seed-pure counters: the ci.sh jobs smoke
-        // step and the parallel_determinism suite diff this line across
-        // worker counts. Machine-facts go to stderr.
+        // Stdout carries only seed-pure counters: the determinism
+        // suite diffs this line across worker counts. Machine-facts go
+        // to stderr.
         println!(
             "exp-scale quick: engine={} flows={} cells={} completed={} \
              events={} promoted={}",

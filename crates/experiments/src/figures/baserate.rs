@@ -23,7 +23,8 @@
 //! Everything rendered here is engine-invariant: the mix apps draw all
 //! payload bytes from per-connection seeded RNGs, so the packet and
 //! hybrid engines (and any `--jobs` count) produce byte-identical
-//! tables — enforced by `tests/baserate_determinism.rs`.
+//! tables — enforced by the determinism matrix
+//! (`tests/determinism.rs`).
 
 use crate::report::Table;
 use crate::Scale;

@@ -209,7 +209,7 @@ pub fn run(scale: Scale, seed: u64) -> Impair {
     for (li, &(loss, _)) in LOSS_RATES.iter().enumerate() {
         if loss == 0.0 {
             // Byte-identical by construction: the loss-0 grid IS the
-            // exp-fig10 rendering.
+            // fig10 rendering.
             grids.push(fig.to_string());
             continue;
         }

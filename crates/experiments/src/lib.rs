@@ -4,25 +4,25 @@
 //! and Blocks Shadowsocks* (IMC 2020), built on three canonical
 //! simulation runs ([`runs`]):
 //!
-//! | Paper item | Module | Binary |
+//! | Paper item | Module | `exp-all --only` id |
 //! |---|---|---|
-//! | Table 1 (experiment timeline) | [`figures::table1`] | `exp-table1` |
-//! | Fig 2 (NR probe lengths) | [`figures::fig2`] | `exp-fig2` |
-//! | Fig 3 (probes per IP) | [`figures::fig3`] | `exp-fig3` |
-//! | Table 2 (top prober IPs) | [`figures::table2`] | `exp-table2` |
-//! | Fig 4 (dataset overlap) | [`figures::fig4`] | `exp-fig4` |
-//! | Table 3 (prober ASes) | [`figures::table3`] | `exp-table3` |
-//! | Fig 5 (source ports) | [`figures::fig5`] | `exp-fig5` |
-//! | Fig 6 (TSval processes) | [`figures::fig6`] | `exp-fig6` |
-//! | Fig 7 (replay delays) | [`figures::fig7`] | `exp-fig7` |
-//! | Table 4 (random-data experiments) | [`figures::table4`] | `exp-table4` |
-//! | Fig 8 (replayed lengths) | [`figures::fig8`] | `exp-fig8` |
-//! | Fig 9 (entropy vs replays) | [`figures::fig9`] | `exp-fig9` |
-//! | Fig 10a/b (reaction matrices) | [`figures::fig10`] | `exp-fig10` |
-//! | Table 5 (replay reactions) | [`figures::table5`] | `exp-table5` |
-//! | Fig 11 (brdgrd) | [`figures::fig11`] | `exp-fig11` |
-//! | §6 (blocking behaviour) | [`figures::blocking`] | `exp-blocking` |
-//! | §5.2.2 (implementation inference) | [`figures::inference`] | `exp-infer` |
+//! | Table 1 (experiment timeline) | [`figures::table1`] | `table1` |
+//! | Fig 2 (NR probe lengths) | [`figures::fig2`] | `fig2` |
+//! | Fig 3 (probes per IP) | [`figures::fig3`] | `fig3` |
+//! | Table 2 (top prober IPs) | [`figures::table2`] | `table2` |
+//! | Fig 4 (dataset overlap) | [`figures::fig4`] | `fig4` |
+//! | Table 3 (prober ASes) | [`figures::table3`] | `table3` |
+//! | Fig 5 (source ports) | [`figures::fig5`] | `fig5` |
+//! | Fig 6 (TSval processes) | [`figures::fig6`] | `fig6` |
+//! | Fig 7 (replay delays) | [`figures::fig7`] | `fig7` |
+//! | Table 4 (random-data experiments) | [`figures::table4`] | `table4` |
+//! | Fig 8 (replayed lengths) | [`figures::fig8`] | `fig8` |
+//! | Fig 9 (entropy vs replays) | [`figures::fig9`] | `fig9` |
+//! | Fig 10a/b (reaction matrices) | [`figures::fig10`] | `fig10` |
+//! | Table 5 (replay reactions) | [`figures::table5`] | `table5` |
+//! | Fig 11 (brdgrd) | [`figures::fig11`] | `fig11` |
+//! | §6 (blocking behaviour) | [`figures::blocking`] | `blocking` |
+//! | §5.2.2 (implementation inference) | [`figures::inference`] | `inference` |
 //!
 //! Every module exposes `run(scale, seed) -> …Result` where the result
 //! implements `Display` (printing the paper-vs-measured comparison) and
@@ -44,15 +44,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI argument.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper" || a == "--full") {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Pick between two values by scale.
     pub fn pick<T>(self, quick: T, paper: T) -> T {
         match self {

@@ -71,26 +71,41 @@ pub fn effective_jobs() -> usize {
     default_parallelism()
 }
 
-/// Extract the value of a `--jobs N` / `--jobs=N` argument, if present.
-fn parse_jobs_arg(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
+/// Remove `--jobs N` / `--jobs=N` from `args` and return N, if given.
+/// A value that is not a positive integer, or a missing one, is an
+/// error: a mistyped worker count must not fall back to the default.
+pub fn take_jobs_arg(args: &mut Vec<String>) -> Result<Option<usize>, String> {
+    let Some(i) = args
+        .iter()
+        .position(|a| a == "--jobs" || a.starts_with("--jobs="))
+    else {
+        return Ok(None);
+    };
+    let flag = args.remove(i);
+    let value = match flag.strip_prefix("--jobs=") {
+        Some(v) => v.to_string(),
+        None if i < args.len() => args.remove(i),
+        None => return Err("--jobs needs a worker count".to_string()),
+    };
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("--jobs wants a positive integer, got `{value}`")),
     }
-    None
 }
 
-/// Scan the process arguments for `--jobs` and install the override.
-/// Every `exp-*` bin calls this once at startup.
+/// Install the `--jobs` override from the process arguments; a bad
+/// value prints the error and exits 2. `exp-scale` and `exp-baserate`
+/// call this once at startup (`exp-all` reads `--jobs` with the rest
+/// of its arguments).
 pub fn configure_from_env() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(n) = parse_jobs_arg(&args) {
-        set_jobs(n);
+    let mut args: Vec<String> = std::env::args().collect();
+    match take_jobs_arg(&mut args) {
+        Ok(Some(n)) => set_jobs(n),
+        Ok(None) => {}
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -320,10 +335,28 @@ mod tests {
     }
 
     #[test]
-    fn parse_jobs_arg_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs_arg(&args(&["exp", "--jobs", "4"])), Some(4));
-        assert_eq!(parse_jobs_arg(&args(&["exp", "--jobs=2"])), Some(2));
-        assert_eq!(parse_jobs_arg(&args(&["exp", "--paper"])), None);
+    fn take_jobs_arg_forms() {
+        let take = |v: &[&str]| {
+            let mut args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+            take_jobs_arg(&mut args).map(|n| (n, args))
+        };
+        let rest = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            take(&["--jobs", "4", "--paper"]),
+            Ok((Some(4), rest(&["--paper"])))
+        );
+        assert_eq!(
+            take(&["--stats", "--jobs=2"]),
+            Ok((Some(2), rest(&["--stats"])))
+        );
+        assert_eq!(take(&["--paper"]), Ok((None, rest(&["--paper"]))));
+        for bad in [
+            &["--jobs", "0"][..],
+            &["--jobs=x"],
+            &["--jobs=-1"],
+            &["--jobs"],
+        ] {
+            assert!(take(bad).is_err(), "{bad:?} accepted");
+        }
     }
 }

@@ -683,7 +683,7 @@ impl Simulator {
     /// Segments the loss-recovery machine will re-emit: SYN, SYN-ACK,
     /// FIN and data. RSTs are fire-and-forget — real stacks do not
     /// retransmit them, so a lost RST is observed as a timeout, exactly
-    /// the degradation `exp-impair` measures. Pure ACKs are recovered
+    /// the degradation `exp-all --only impair` measures. Pure ACKs are recovered
     /// implicitly by later traffic (a lost handshake-completing ACK is
     /// repaired when the first data segment arrives).
     fn retransmittable(pkt: &Packet) -> bool {

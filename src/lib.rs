@@ -47,8 +47,8 @@
 //! ```
 //!
 //! See `examples/` for the full simulated-GFW pipeline and the defense
-//! evaluations, and the `exp-*` binaries in the `experiments` crate for
-//! the per-table/figure reports.
+//! evaluations, and the `experiments` crate's `exp-all` binary for the
+//! per-table/figure reports (`exp-all --only fig10` runs one).
 
 pub use analysis;
 pub use defense;
