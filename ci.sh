@@ -10,16 +10,18 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 # Enforces clippy.toml (no host clock anywhere, no threads outside
-# experiments::runner, no BinaryHeap outside netsim::eventq) and the
+# experiments::runner, no BinaryHeap outside netsim::eventq), the
 # root [workspace.lints] (unsafe_code, missing_docs, a reason on every
 # #[allow], a SAFETY comment on every unsafe block and a `# Safety`
 # section on every unsafe fn, private ones included), which every
-# member inherits.
+# member inherits, and the panic lints (unwrap_used, expect_used,
+# panic, unreachable) that core, netsim, shadowsocks, sscrypto and
+# trafficgen turn on by crate attribute outside tests.
 cargo clippy --all-targets -- -D warnings
 
 echo "==> gfw-lint"
-# What rustc and clippy cannot see: budgets, cross-crate constants,
-# manifests, call-graph taint, hot-path arithmetic.
+# What rustc and clippy cannot see: the crypto hot path's allocation
+# budget, manifests, call-graph taint, hot-path arithmetic.
 cargo run -q -p gfw-lint
 
 echo "==> cargo doc -D warnings"

@@ -31,6 +31,15 @@
 //!    or by IP, gated on a "sensitivity" knob modelling §6's human
 //!    factor, with lazy unblocking.
 
+// A panic on malformed input would stand in for the reaction the paper
+// measures: each remaining site carries a reasoned `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod blocking;
 pub mod classifier;
 pub mod delay;

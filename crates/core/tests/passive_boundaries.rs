@@ -12,6 +12,7 @@ use gfw_core::passive::{PassiveConfig, PassiveDetector};
 use gfw_core::probe::{is_nr1_len, nr1_len, NR1_CENTERS, NR2_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sscrypto::method::{Kind, ALL_METHODS};
 
 fn det() -> PassiveDetector {
     PassiveDetector::default()
@@ -238,4 +239,34 @@ fn nr2_length_is_replay_eligible() {
     assert_eq!(NR2_LEN, 221);
     assert!(d.length_weight(NR2_LEN) > 0.0);
     assert_eq!(d.length_weight(NR2_LEN), 0.57);
+}
+
+#[test]
+fn probe_lengths_cover_every_method() {
+    // The NR1 sweep (Fig 2) centres a trio on every stream IV length
+    // and on every AEAD salt + 17. An AEAD server first decrypts, and
+    // reacts, at salt + 35 bytes (salt, 2-byte length, two 16-byte
+    // tags, one byte more); NR2 must pass that for the largest salt.
+    assert_eq!(
+        NR1_CENTERS[..],
+        [8, 12, 16, 22, 33, 41, 49],
+        "Fig 2 centres"
+    );
+    let mut max_salt = 0;
+    for &m in ALL_METHODS {
+        let len = m.iv_len();
+        match m.kind() {
+            Kind::Stream => assert!(NR1_CENTERS.contains(&len), "{} IV {len}", m.name()),
+            Kind::Aead => {
+                assert!(
+                    NR1_CENTERS.contains(&(len + 17)),
+                    "{} salt {len} + 17",
+                    m.name()
+                );
+                max_salt = max_salt.max(len);
+            }
+        }
+    }
+    assert_eq!(max_salt, 32);
+    assert!(NR2_LEN > max_salt + 35, "NR2 {NR2_LEN} <= {max_salt} + 35");
 }

@@ -66,8 +66,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(n) = opts.jobs {
-        runner::set_jobs(n);
+    match runner::requested_jobs(opts.jobs) {
+        Ok(jobs) => runner::set_jobs(jobs.unwrap_or(0)),
+        Err(msg) => {
+            eprintln!("exp-all: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
     }
     let entries = match only_filter(opts.only.as_deref()) {
         Ok(entries) => entries,

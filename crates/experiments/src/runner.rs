@@ -13,9 +13,11 @@
 //!   no matter how many workers ran or how the OS scheduled them.
 //!
 //! Worker count resolves `--jobs N` → `GFWSIM_JOBS` → available
-//! parallelism (see [`effective_jobs`]). Jobs already running inside a
-//! worker execute nested [`run_jobs`] calls inline, so fanning out
-//! across figures in `exp-all` never oversubscribes the machine.
+//! parallelism: the binaries read the first two once at startup
+//! ([`requested_jobs`]) and install the result with [`set_jobs`]; a
+//! value that is not a positive integer exits 2. Jobs already running
+//! inside a worker execute nested [`run_jobs`] calls inline, so fanning
+//! out across figures in `exp-all` never oversubscribes the machine.
 //!
 //! Thread primitives are permitted only in this module (`clippy.toml`
 //! bans them elsewhere); the simulation crates stay single-threaded.
@@ -54,21 +56,34 @@ pub fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The effective worker count: the `--jobs` override if set, else the
-/// `GFWSIM_JOBS` environment variable, else available parallelism.
+/// The effective worker count: the override installed by [`set_jobs`]
+/// if any, else available parallelism.
 pub fn effective_jobs() -> usize {
-    let n = JOBS.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
+    match JOBS.load(Ordering::Relaxed) {
+        0 => default_parallelism(),
+        n => n,
     }
-    if let Ok(v) = std::env::var("GFWSIM_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+}
+
+/// Parse a worker count named by `what` (`--jobs`, `GFWSIM_JOBS`): a
+/// positive integer, or an error that quotes the value.
+fn parse_jobs(what: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{what} wants a positive integer, got `{value}`")),
     }
-    default_parallelism()
+}
+
+/// The worker count a command asked for: `flag` (its parsed `--jobs`)
+/// if given, else `GFWSIM_JOBS` if set, else none. A `GFWSIM_JOBS`
+/// that is not a positive integer is an error, as a bad `--jobs` is:
+/// a mistyped worker count must not fall back to the default.
+pub fn requested_jobs(flag: Option<usize>) -> Result<Option<usize>, String> {
+    match (flag, std::env::var("GFWSIM_JOBS")) {
+        (Some(n), _) => Ok(Some(n)),
+        (None, Ok(value)) => parse_jobs("GFWSIM_JOBS", &value).map(Some),
+        (None, Err(_)) => Ok(None),
+    }
 }
 
 /// Remove `--jobs N` / `--jobs=N` from `args` and return N, if given.
@@ -87,19 +102,16 @@ pub fn take_jobs_arg(args: &mut Vec<String>) -> Result<Option<usize>, String> {
         None if i < args.len() => args.remove(i),
         None => return Err("--jobs needs a worker count".to_string()),
     };
-    match value.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(format!("--jobs wants a positive integer, got `{value}`")),
-    }
+    parse_jobs("--jobs", &value).map(Some)
 }
 
-/// Install the `--jobs` override from the process arguments; a bad
-/// value prints the error and exits 2. `exp-scale` and `exp-baserate`
-/// call this once at startup (`exp-all` reads `--jobs` with the rest
-/// of its arguments).
+/// Install the worker count from `--jobs` or `GFWSIM_JOBS` (see
+/// [`requested_jobs`]); a bad value prints the error and exits 2.
+/// `exp-scale` and `exp-baserate` call this once at startup (`exp-all`
+/// reads `--jobs` with the rest of its arguments).
 pub fn configure_from_env() {
     let mut args: Vec<String> = std::env::args().collect();
-    match take_jobs_arg(&mut args) {
+    match take_jobs_arg(&mut args).and_then(requested_jobs) {
         Ok(Some(n)) => set_jobs(n),
         Ok(None) => {}
         Err(msg) => {
@@ -358,5 +370,18 @@ mod tests {
         ] {
             assert!(take(bad).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn jobs_values_are_positive_integers() {
+        assert_eq!(parse_jobs("GFWSIM_JOBS", "3"), Ok(3));
+        for bad in ["0", "x", "-1", "", " 2", "2.0"] {
+            assert_eq!(
+                parse_jobs("GFWSIM_JOBS", bad),
+                Err(format!("GFWSIM_JOBS wants a positive integer, got `{bad}`")),
+            );
+        }
+        // A given `--jobs` wins without the environment being read.
+        assert_eq!(requested_jobs(Some(5)), Ok(Some(5)));
     }
 }

@@ -268,6 +268,18 @@ fn misspelled_flag_is_rejected() {
     assert!(out.stdout.is_empty(), "ran anyway");
 }
 
+#[test]
+fn malformed_jobs_env_is_rejected() {
+    let out = spawn(EXP_ALL, &["--only", "table1"], &[("GFWSIM_JOBS", "x")]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "ran anyway");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("GFWSIM_JOBS wants a positive integer, got `x`"),
+        "stderr: {err}"
+    );
+}
+
 fn scale_quick_stdout(engine: &str, jobs: &str) -> String {
     stdout_of(
         EXP_SCALE,

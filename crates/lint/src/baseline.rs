@@ -1,14 +1,11 @@
 //! The checked-in budget baseline (`lint-baseline.toml`).
 //!
-//! The file holds two tables. `[panic-budget]` maps crate directory
-//! names to the number of explicit panic sites (`unwrap()` / `expect(` /
-//! `panic!` / `unreachable!`) allowed in that crate's non-test code
-//! (rule P1). `[alloc-budget]` maps crypto hot-path areas to the number
-//! of heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`)
-//! allowed there (rule A1). Each rule fails when an area exceeds its
-//! budget; `--bless` regenerates the file and only ever ratchets the
-//! numbers *down* — raising a budget is a deliberate act done by
-//! editing the file by hand.
+//! The file holds one table, `[alloc-budget]`, which maps crypto
+//! hot-path areas to the number of heap-allocation sites (`.to_vec()` /
+//! `Vec::new()` / `.clone()`) allowed there (rule A1). The rule fails
+//! when an area exceeds its budget; `--bless` regenerates the file and
+//! only ever ratchets the numbers *down* — raising a budget is a
+//! deliberate act done by editing the file by hand.
 //!
 //! The parser is a deliberately tiny TOML subset (named tables, `key =
 //! integer` entries, `#` comments) so the linter stays dependency-free.
@@ -19,11 +16,9 @@ use std::path::Path;
 /// File name of the baseline, relative to the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.toml";
 
-/// Parsed baseline: budget tables keyed by crate/area name.
+/// Parsed baseline: the budget table keyed by area name.
 #[derive(Debug, Default, Clone)]
 pub struct Baseline {
-    /// P1 budgets per crate directory name.
-    pub budgets: BTreeMap<String, usize>,
     /// A1 budgets per hot-path area name.
     pub alloc_budgets: BTreeMap<String, usize>,
 }
@@ -41,30 +36,21 @@ impl Baseline {
         Ok(Some(Baseline::parse(&text)?))
     }
 
-    /// Parse baseline text.
+    /// Parse baseline text. Tables other than `[alloc-budget]` are
+    /// ignored.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        #[derive(PartialEq)]
-        enum Table {
-            None,
-            Panic,
-            Alloc,
-        }
         let mut out = Baseline::default();
-        let mut table = Table::None;
+        let mut in_alloc = false;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
             if line.starts_with('[') {
-                table = match line {
-                    "[panic-budget]" => Table::Panic,
-                    "[alloc-budget]" => Table::Alloc,
-                    _ => Table::None,
-                };
+                in_alloc = line == "[alloc-budget]";
                 continue;
             }
-            if table == Table::None {
+            if !in_alloc {
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -80,12 +66,7 @@ impl Baseline {
                     value.trim()
                 )
             })?;
-            let dest = match table {
-                Table::Panic => &mut out.budgets,
-                Table::Alloc => &mut out.alloc_budgets,
-                Table::None => unreachable!(),
-            };
-            dest.insert(key.trim().to_string(), count);
+            out.alloc_budgets.insert(key.trim().to_string(), count);
         }
         Ok(out)
     }
@@ -93,25 +74,14 @@ impl Baseline {
     /// Serialize to the canonical file format.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "# Panic-site budget per crate (gfw-lint rule P1).\n\
-             # Counts cover `unwrap()` / `expect(` / `panic!` / `unreachable!` in\n\
-             # non-test code. Regenerate with `cargo run -p gfw-lint -- --bless`;\n\
+            "# Heap-allocation budget per crypto hot-path area (gfw-lint rule A1).\n\
+             # Counts cover `.to_vec()` / `Vec::new()` / `.clone()` in non-test\n\
+             # code. Regenerate with `cargo run -p gfw-lint -- --bless`;\n\
              # blessing only ratchets budgets DOWN. Raising one is a hand edit.\n\
-             \n[panic-budget]\n",
+             \n[alloc-budget]\n",
         );
-        for (name, count) in &self.budgets {
+        for (name, count) in &self.alloc_budgets {
             out.push_str(&format!("{name} = {count}\n"));
-        }
-        if !self.alloc_budgets.is_empty() {
-            out.push_str(
-                "\n# Heap-allocation budget per crypto hot-path area (rule A1).\n\
-                 # Counts cover `.to_vec()` / `Vec::new()` / `.clone()` in non-test\n\
-                 # code. Same ratchet: blessing only goes down.\n\
-                 \n[alloc-budget]\n",
-            );
-            for (name, count) in &self.alloc_budgets {
-                out.push_str(&format!("{name} = {count}\n"));
-            }
         }
         out
     }
@@ -129,38 +99,24 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let b = Baseline::parse("# hi\n[panic-budget]\ncore = 3 # note\nnetsim = 0\n").unwrap();
-        assert_eq!(b.budgets.get("core"), Some(&3));
-        assert_eq!(b.budgets.get("netsim"), Some(&0));
-        let again = Baseline::parse(&b.render()).unwrap();
-        assert_eq!(again.budgets, b.budgets);
-    }
-
-    #[test]
-    fn parse_roundtrip_with_alloc_table() {
-        let b = Baseline::parse(
-            "[panic-budget]\ncore = 3\n\n[alloc-budget]\nsscrypto = 7\nshadowsocks-wire = 2\n",
-        )
-        .unwrap();
-        assert_eq!(b.budgets.get("core"), Some(&3));
+        let b =
+            Baseline::parse("# hi\n[alloc-budget]\nsscrypto = 7 # note\nshadowsocks-wire = 0\n")
+                .unwrap();
         assert_eq!(b.alloc_budgets.get("sscrypto"), Some(&7));
-        assert_eq!(b.alloc_budgets.get("shadowsocks-wire"), Some(&2));
+        assert_eq!(b.alloc_budgets.get("shadowsocks-wire"), Some(&0));
         let again = Baseline::parse(&b.render()).unwrap();
-        assert_eq!(again.budgets, b.budgets);
         assert_eq!(again.alloc_budgets, b.alloc_budgets);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(Baseline::parse("[panic-budget]\ncore three\n").is_err());
-        assert!(Baseline::parse("[panic-budget]\ncore = many\n").is_err());
+        assert!(Baseline::parse("[alloc-budget]\nsscrypto three\n").is_err());
         assert!(Baseline::parse("[alloc-budget]\nsscrypto = lots\n").is_err());
     }
 
     #[test]
     fn other_tables_ignored() {
-        let b = Baseline::parse("[other]\nx = 9\n[panic-budget]\ncore = 1\n").unwrap();
-        assert_eq!(b.budgets.len(), 1);
-        assert!(b.alloc_budgets.is_empty());
+        let b = Baseline::parse("[other]\nx = 9\n[alloc-budget]\nsscrypto = 1\n").unwrap();
+        assert_eq!(b.alloc_budgets.len(), 1);
     }
 }

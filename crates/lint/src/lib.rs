@@ -9,9 +9,7 @@
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | `P1` | Explicit panic sites (`unwrap()` / `expect(` / `panic!` / `unreachable!`) in the non-test code of `core`, `netsim`, `shadowsocks`, `sscrypto` and `trafficgen` stay within the checked-in budget (`lint-baseline.toml`), which only ratchets downward. |
 //! | `A1` | Heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`) in the non-test code of the crypto hot path (`sscrypto` and `shadowsocks::wire`) stay within the checked-in `[alloc-budget]` (`lint-baseline.toml`), which only ratchets downward — per-chunk allocations must not creep back into the codec. |
-//! | `C1` | The protocol constants agree across crates: the stream-IV and AEAD-salt lengths declared by `sscrypto::method::Method::iv_len` match the paper (8/12/16 and 16/24/32), the probe length sweep in `core::probe` covers them, and `shadowsocks::wire` derives its salt length from `Method::iv_len` instead of hardcoding one. |
 //! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true` (versions live only in the root `[workspace.dependencies]`) and inherit the workspace lints with `[lints] workspace = true`; a crate with audited `unsafe` islands may instead carry its own `[lints.*]` tables that repeat the workspace lints with only `unsafe_code` relaxed to `deny`. |
 //! | `R1` | Determinism taint: no hash-ordered `HashMap`/`HashSet` iteration in any function reachable from an `impl Simulator` method, across every crate the sim can depend on (including `shadowsocks`, `sscrypto`, `analysis`). |
 //! | `W1` | In the hot-path modules (`sscrypto`, `netsim::eventq`, `gfw_core::passive`, `shadowsocks::wire`), bare `+`/`*`/`<<` (and their `=`-compounds) on integer state crossing a function boundary (params, `self` fields) must be `wrapping_*`/`checked_*`/`saturating_*` or carry an allow. |
@@ -22,19 +20,22 @@
 //! warns on `missing_docs`, asks every `#[allow]` for a reason, every
 //! `unsafe` block for a `// SAFETY:` comment and every `unsafe fn`
 //! (private ones too, by `clippy.toml`'s `check-private-items`) for a
-//! `# Safety` doc section.
+//! `# Safety` doc section. The protocol crates (`core`, `netsim`,
+//! `shadowsocks`, `sscrypto`, `trafficgen`) warn on `unwrap`, `expect`,
+//! `panic!` and `unreachable!` outside tests by crate attribute, and the
+//! protocol constants (IV and salt lengths, the probe length sweep, the
+//! wire framing) are pinned by those crates' own tests.
 //!
 //! Individual findings can be suppressed with an inline escape —
-//! `// gfwlint: allow(P1)` on the offending line or alone on the line
+//! `// gfwlint: allow(W1)` on the offending line or alone on the line
 //! above (`# gfwlint: allow(H1)` in TOML). Escapes are counted and
 //! reported, never silent.
 //!
 //! The binary (`cargo run -p gfw-lint`) exits 0 when clean, 1 on
 //! findings, 2 on usage or I/O errors, and supports `--json` (machine
-//! output, with panic/alloc sites attributed to their enclosing
-//! function), `--bless` (regenerate the P1/A1 baselines, downward
-//! only) and `--explain RULE` (print a rule's rationale and escape
-//! hatch).
+//! output, with allocation sites attributed to their enclosing
+//! function), `--bless` (regenerate the A1 baseline, downward only) and
+//! `--explain RULE` (print a rule's rationale and escape hatch).
 
 pub mod baseline;
 pub mod callgraph;
@@ -52,7 +53,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule ID (`P1`, `A1`, `C1`, `H1`, `R1` or `W1`).
+    /// Rule ID (`A1`, `H1`, `R1` or `W1`).
     pub rule: &'static str,
     /// File path relative to the workspace root.
     pub file: String,
@@ -83,8 +84,8 @@ pub struct AllowUse {
     pub line: usize,
 }
 
-/// One budget-counted site (panic or allocation), attributed to its
-/// enclosing function via the item tree.
+/// One budget-counted allocation site, attributed to its enclosing
+/// function via the item tree.
 #[derive(Debug, Clone)]
 pub struct Site {
     /// File path relative to the workspace root.
@@ -94,7 +95,7 @@ pub struct Site {
     /// Qualified name of the enclosing function (module/impl path,
     /// without the crate name), or `(file scope)` outside any fn.
     pub function: String,
-    /// The counted token (`.unwrap()`, `.clone()`, …).
+    /// The counted token (`.to_vec()`, `Vec::new()` or `.clone()`).
     pub token: String,
 }
 
@@ -107,12 +108,8 @@ pub struct Report {
     pub allows: Vec<AllowUse>,
     /// Number of files scanned (`.rs` + `Cargo.toml`).
     pub files_scanned: usize,
-    /// Current P1 panic-site counts per budgeted crate.
-    pub panic_counts: BTreeMap<String, usize>,
     /// Current A1 heap-allocation counts per budgeted hot-path area.
     pub alloc_counts: BTreeMap<String, usize>,
-    /// Every counted P1 panic site, attributed to its function.
-    pub panic_sites: Vec<Site>,
     /// Every counted A1 allocation site, attributed to its function.
     pub alloc_sites: Vec<Site>,
 }
@@ -236,41 +233,30 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         files_scanned: ws.sources.len(),
         ..Report::default()
     };
-    rules::p1_panic_budget(&ws, &mut report)?;
     rules::a1_alloc_budget(&ws, &mut report)?;
-    rules::c1_protocol_constants(&ws, &mut report);
     rules::h1_workspace_deps(&ws, &mut report)?;
     callgraph::r1_determinism_taint(&ws, &mut report);
     rules::w1_wrapping_audit(&ws, &mut report);
     Ok(report)
 }
 
-/// Regenerate the P1 and A1 baselines from current counts. Budgets only
-/// ratchet downward: if any crate's or area's current count exceeds its
-/// existing budget, this fails and tells the caller to fix the
-/// regressions instead.
+/// Regenerate the A1 baseline from current counts. Budgets only
+/// ratchet downward: if any area's current count exceeds its existing
+/// budget, this fails and tells the caller to fix the regressions
+/// instead.
 ///
 /// Returns a human-readable summary of what was written.
 pub fn bless(root: &Path) -> Result<String, String> {
     let ws = Workspace::load(root)?;
-    let counts = rules::panic_counts(&ws);
     let allocs = rules::alloc_counts(&ws);
     if let Some(old) = baseline::Baseline::load(&ws.root)? {
-        let mut raised = Vec::new();
-        for (name, &count) in &counts {
-            if let Some(&budget) = old.budgets.get(name) {
-                if count > budget {
-                    raised.push(format!("{name}: {count} > {budget}"));
-                }
-            }
-        }
-        for (name, &count) in &allocs {
-            if let Some(&budget) = old.alloc_budgets.get(name) {
-                if count > budget {
-                    raised.push(format!("alloc {name}: {count} > {budget}"));
-                }
-            }
-        }
+        let raised: Vec<String> = allocs
+            .iter()
+            .filter_map(|(name, &count)| {
+                let budget = *old.alloc_budgets.get(name)?;
+                (count > budget).then(|| format!("alloc {name}: {count} > {budget}"))
+            })
+            .collect();
         if !raised.is_empty() {
             return Err(format!(
                 "refusing to bless: budgets only ratchet downward ({}); \
@@ -280,13 +266,14 @@ pub fn bless(root: &Path) -> Result<String, String> {
             ));
         }
     }
-    let new = baseline::Baseline {
-        budgets: counts.clone(),
-        alloc_budgets: allocs.clone(),
-    };
-    new.store(&ws.root)?;
-    let mut summary: Vec<String> = counts.iter().map(|(n, c)| format!("{n} = {c}")).collect();
-    summary.extend(allocs.iter().map(|(n, c)| format!("alloc {n} = {c}")));
+    let summary: Vec<String> = allocs
+        .iter()
+        .map(|(n, c)| format!("alloc {n} = {c}"))
+        .collect();
+    baseline::Baseline {
+        alloc_budgets: allocs,
+    }
+    .store(&ws.root)?;
     Ok(format!(
         "blessed {} ({})",
         baseline::BASELINE_FILE,

@@ -43,16 +43,17 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "gfw-lint: workspace invariant checker\n\n\
                      USAGE: gfw-lint [--root DIR] [--json] [--bless] [--explain RULE]\n\n\
-                     Rules: P1 panic budget, A1 allocation budget (crypto hot\n\
-                     path), C1 protocol-constant consistency, H1 workspace\n\
+                     Rules: A1 allocation budget (crypto hot path), H1 workspace\n\
                      dependencies and lints, R1 determinism taint (hash-ordered\n\
                      iteration reachable from the Simulator), W1 wrapping-\n\
                      arithmetic discipline on the hot path. Clock, thread and\n\
-                     heap bans live in clippy.toml, SAFETY comments in clippy.\n\
+                     heap bans live in clippy.toml; SAFETY comments and panic\n\
+                     sites are clippy lints; protocol constants are pinned by\n\
+                     the protocol crates' own tests.\n\
                      Suppress one finding with `// gfwlint: allow(RULE)`.\n\n\
                      --root DIR     lint this workspace (default: nearest enclosing workspace)\n\
-                     --json         machine-readable output (incl. per-function budget sites)\n\
-                     --bless        regenerate the P1/A1 baselines (budgets only ratchet down)\n\
+                     --json         machine-readable output (incl. per-function allocation sites)\n\
+                     --bless        regenerate the A1 baseline (budgets only ratchet down)\n\
                      --explain RULE print a rule's rationale and escape hatch"
                 );
                 std::process::exit(0);

@@ -17,14 +17,6 @@ pub fn render_human(report: &Report) -> String {
             allow.file, allow.line, allow.rule
         ));
     }
-    if !report.panic_counts.is_empty() {
-        let counts: Vec<String> = report
-            .panic_counts
-            .iter()
-            .map(|(n, c)| format!("{n}={c}"))
-            .collect();
-        out.push_str(&format!("panic sites (P1): {}\n", counts.join(" ")));
-    }
     if !report.alloc_counts.is_empty() {
         let counts: Vec<String> = report
             .alloc_counts
@@ -77,23 +69,14 @@ pub fn render_json(report: &Report) -> String {
             a.line
         ));
     }
-    out.push_str("\n  ],\n  \"panic_counts\": {");
-    for (i, (name, count)) in report.panic_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}: {}", json_str(name), count));
-    }
-    out.push_str("\n  },\n  \"alloc_counts\": {");
+    out.push_str("\n  ],\n  \"alloc_counts\": {");
     for (i, (name, count)) in report.alloc_counts.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!("\n    {}: {}", json_str(name), count));
     }
-    out.push_str("\n  },\n  \"panic_sites\": [");
-    render_sites(&mut out, &report.panic_sites);
-    out.push_str("\n  ],\n  \"alloc_sites\": [");
+    out.push_str("\n  },\n  \"alloc_sites\": [");
     render_sites(&mut out, &report.alloc_sites);
     out.push_str(&format!(
         "\n  ],\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
@@ -103,7 +86,7 @@ pub fn render_json(report: &Report) -> String {
     out
 }
 
-/// Render the budget-site arrays: each site names its enclosing
+/// Render the allocation-site array: each site names its enclosing
 /// function, so `--json` consumers can aggregate per-function.
 fn render_sites(out: &mut String, sites: &[crate::Site]) {
     for (i, s) in sites.iter().enumerate() {
@@ -153,14 +136,14 @@ mod tests {
     fn json_shape() {
         let mut report = Report::default();
         report.findings.push(Finding {
-            rule: "P1",
+            rule: "W1",
             file: "crates/core/src/x.rs".into(),
             line: 3,
             message: "bad \"thing\"".into(),
         });
         report.files_scanned = 7;
         let json = render_json(&report);
-        assert!(json.contains("\"rule\": \"P1\""));
+        assert!(json.contains("\"rule\": \"W1\""));
         assert!(json.contains("\"line\": 3"));
         assert!(json.contains("\\\"thing\\\""));
         assert!(json.contains("\"clean\": false"));

@@ -4,22 +4,15 @@
 //! shared [`Report`]. Token rules operate on the comment/string-stripped
 //! `code` text produced by [`crate::scan`], so tokens inside comments,
 //! doc examples rendered as comments, or string literals never fire;
-//! the structural rule (W1) and the budget attribution query the
+//! the structural rule (W1) and A1's site attribution query the
 //! per-file item tree ([`crate::items`]) directly.
 
 use crate::baseline::{Baseline, BASELINE_FILE};
 use crate::items::is_int_type;
 use crate::lex::TokKind;
-use crate::scan::{has_token, SourceFile};
+use crate::scan::SourceFile;
 use crate::{AllowUse, Finding, Report, Site, Workspace};
 use std::collections::BTreeMap;
-
-/// Crates with a panic-site budget (P1).
-pub const PANIC_BUDGET_CRATES: &[&str] =
-    &["core", "netsim", "shadowsocks", "sscrypto", "trafficgen"];
-
-/// Explicit panic-site tokens counted by P1.
-const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
 
 /// Hot-path areas with an allocation budget (A1):
 /// `(baseline key, path prefix, file findings point at)`.
@@ -41,44 +34,6 @@ pub const ALLOC_BUDGET_AREAS: &[(&str, &str, &str)] = &[
 /// path; the budget keeps them from creeping back.
 const ALLOC_TOKENS: &[&str] = &[".to_vec()", "Vec::new()", ".clone()"];
 
-/// The paper's IV/salt length table (Fig 10 row groups): every
-/// `sscrypto::method::Method` variant and the byte length its
-/// `iv_len()` arm must declare.
-const IV_EXPECT: &[(&str, usize)] = &[
-    ("Aes128Ctr", 16),
-    ("Aes192Ctr", 16),
-    ("Aes256Ctr", 16),
-    ("Aes128Cfb", 16),
-    ("Aes192Cfb", 16),
-    ("Aes256Cfb", 16),
-    ("ChaCha20", 8),
-    ("ChaCha20Ietf", 12),
-    ("Rc4Md5", 16),
-    ("Aes128Gcm", 16),
-    ("Aes192Gcm", 24),
-    ("Aes256Gcm", 32),
-    ("ChaCha20IetfPoly1305", 32),
-    ("XChaCha20IetfPoly1305", 32),
-];
-
-/// Variants using the AEAD construction (their `iv_len` is a salt).
-const AEAD_VARIANTS: &[&str] = &[
-    "Aes128Gcm",
-    "Aes192Gcm",
-    "Aes256Gcm",
-    "ChaCha20IetfPoly1305",
-    "XChaCha20IetfPoly1305",
-];
-
-/// An AEAD server first decrypts (and reacts) at `salt + 35` bytes, so
-/// the probe sweep places a trio center at `salt + 17` — inside the
-/// silent zone for the next-larger salt but past the stream IVs.
-const AEAD_CENTER_OFFSET: usize = 17;
-
-/// The AEAD decrypt threshold: salt + 2-byte length + two 16-byte tags
-/// + 1 (`salt + 35`). `NR2_LEN` must exceed it for the largest salt.
-const AEAD_THRESHOLD_OFFSET: usize = 35;
-
 fn allowed(report: &mut Report, rule: &str, file: &SourceFile, idx: usize) -> bool {
     if file.lines[idx].allows.iter().any(|a| a == rule) {
         report.allows.push(AllowUse {
@@ -92,39 +47,19 @@ fn allowed(report: &mut Report, rule: &str, file: &SourceFile, idx: usize) -> bo
     }
 }
 
-/// Count P1 panic-site tokens in the non-test `src/` code of the
-/// budgeted crates. Allow-escaped lines are excluded from the count
-/// (the escape is recorded on the report during `p1_panic_budget`).
-pub fn panic_counts(ws: &Workspace) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for crate_name in PANIC_BUDGET_CRATES {
-        let prefix = format!("crates/{crate_name}/src/");
-        let mut count = 0usize;
-        for file in ws.sources_under(&prefix) {
-            for line in &file.lines {
-                if line.in_test || line.allows.iter().any(|a| a == "P1") {
-                    continue;
-                }
-                for token in PANIC_TOKENS {
-                    count += count_token(&line.code, token);
-                }
-            }
-        }
-        counts.insert(crate_name.to_string(), count);
-    }
-    counts
-}
-
-/// Collect budget-counted sites under `prefix`, attributed to their
-/// enclosing function via the item tree.
-fn attributed_sites(ws: &Workspace, prefix: &str, tokens: &[&str], rule: &str) -> Vec<Site> {
+/// A1's sites under `prefix`: every allocation token on a non-test
+/// line, attributed to its enclosing function via the item tree, and
+/// the lines that escape the rule with `gfwlint: allow(A1)`.
+fn alloc_sites(ws: &Workspace, prefix: &str) -> (Vec<Site>, Vec<AllowUse>) {
     let mut sites = Vec::new();
+    let mut escapes = Vec::new();
     for file in ws.sources_under(prefix) {
         for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test || line.allows.iter().any(|a| a == rule) {
+            if line.in_test {
                 continue;
             }
-            for token in tokens {
+            let before = sites.len();
+            for token in ALLOC_TOKENS {
                 for _ in 0..count_token(&line.code, token) {
                     let function = file
                         .items
@@ -139,115 +74,28 @@ fn attributed_sites(ws: &Workspace, prefix: &str, tokens: &[&str], rule: &str) -
                     });
                 }
             }
-        }
-    }
-    sites
-}
-
-/// P1: per-crate panic budget against the checked-in baseline.
-pub fn p1_panic_budget(ws: &Workspace, report: &mut Report) -> Result<(), String> {
-    let counts = panic_counts(ws);
-    report.panic_counts = counts.clone();
-    for crate_name in PANIC_BUDGET_CRATES {
-        let prefix = format!("crates/{crate_name}/src/");
-        report
-            .panic_sites
-            .extend(attributed_sites(ws, &prefix, PANIC_TOKENS, "P1"));
-    }
-    // Record honored escapes.
-    for crate_name in PANIC_BUDGET_CRATES {
-        let prefix = format!("crates/{crate_name}/src/");
-        let escapes: Vec<(String, usize)> = ws
-            .sources_under(&prefix)
-            .flat_map(|file| {
-                file.lines.iter().enumerate().filter_map(|(idx, line)| {
-                    let is_panic_line = PANIC_TOKENS.iter().any(|t| count_token(&line.code, t) > 0);
-                    (!line.in_test && is_panic_line && line.allows.iter().any(|a| a == "P1"))
-                        .then(|| (file.rel.clone(), idx + 1))
-                })
-            })
-            .collect();
-        for (file, line) in escapes {
-            report.allows.push(AllowUse {
-                rule: "P1".to_string(),
-                file,
-                line,
-            });
-        }
-    }
-
-    let has_budgeted_crate = ws
-        .crates
-        .iter()
-        .any(|c| PANIC_BUDGET_CRATES.contains(&c.name.as_str()));
-    if !has_budgeted_crate {
-        return Ok(());
-    }
-    let Some(baseline) = Baseline::load(&ws.root)? else {
-        report.findings.push(Finding {
-            rule: "P1",
-            file: BASELINE_FILE.to_string(),
-            line: 0,
-            message: "panic-budget baseline missing; run `gfw-lint --bless` to create it"
-                .to_string(),
-        });
-        return Ok(());
-    };
-    for (name, &count) in &counts {
-        if !ws.crates.iter().any(|c| &c.name == name) {
-            continue;
-        }
-        match baseline.budgets.get(name) {
-            None => report.findings.push(Finding {
-                rule: "P1",
-                file: BASELINE_FILE.to_string(),
-                line: 0,
-                message: format!(
-                    "crate `{name}` has no panic budget entry (current count: {count}); \
-                     run `gfw-lint --bless`"
-                ),
-            }),
-            Some(&budget) if count > budget => report.findings.push(Finding {
-                rule: "P1",
-                file: format!("crates/{name}/src/lib.rs"),
-                line: 1,
-                message: format!(
-                    "crate `{name}` has {count} explicit panic sites in non-test code, \
-                     over its budget of {budget}; remove some or raise the budget by \
-                     hand in {BASELINE_FILE}"
-                ),
-            }),
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Count A1 heap-allocation tokens in the non-test code of each
-/// budgeted hot-path area. Allow-escaped lines are excluded (the
-/// escape is recorded during `a1_alloc_budget`). Areas with no source
-/// files in this workspace are omitted.
-pub fn alloc_counts(ws: &Workspace) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for &(key, prefix, _) in ALLOC_BUDGET_AREAS {
-        let mut count = 0usize;
-        let mut present = false;
-        for file in ws.sources_under(prefix) {
-            present = true;
-            for line in &file.lines {
-                if line.in_test || line.allows.iter().any(|a| a == "A1") {
-                    continue;
-                }
-                for token in ALLOC_TOKENS {
-                    count += count_token(&line.code, token);
-                }
+            if sites.len() > before && line.allows.iter().any(|a| a == "A1") {
+                sites.truncate(before);
+                escapes.push(AllowUse {
+                    rule: "A1".to_string(),
+                    file: file.rel.clone(),
+                    line: idx + 1,
+                });
             }
         }
-        if present {
-            counts.insert(key.to_string(), count);
-        }
     }
-    counts
+    (sites, escapes)
+}
+
+/// Count A1 heap-allocation sites in the non-test code of each
+/// budgeted hot-path area, allow-escaped lines excluded. Areas with no
+/// source files in this workspace are omitted.
+pub fn alloc_counts(ws: &Workspace) -> BTreeMap<String, usize> {
+    ALLOC_BUDGET_AREAS
+        .iter()
+        .filter(|&&(_, prefix, _)| ws.sources_under(prefix).next().is_some())
+        .map(|&(key, prefix, _)| (key.to_string(), alloc_sites(ws, prefix).0.len()))
+        .collect()
 }
 
 /// A1: per-area heap-allocation budget against the checked-in baseline.
@@ -258,41 +106,27 @@ pub fn alloc_counts(ws: &Workspace) -> BTreeMap<String, usize> {
 /// the remaining `.to_vec()` / `Vec::new()` / `.clone()` sites so a
 /// refactor cannot quietly reintroduce per-chunk allocations. Budgets
 /// live in `[alloc-budget]` of `lint-baseline.toml` and only ratchet
-/// down via `--bless`. When the baseline file itself is missing, P1
-/// already reports that; this rule stays quiet to avoid a duplicate.
+/// down via `--bless`.
 pub fn a1_alloc_budget(ws: &Workspace, report: &mut Report) -> Result<(), String> {
     let counts = alloc_counts(ws);
-    report.alloc_counts = counts.clone();
     if counts.is_empty() {
         return Ok(());
     }
     for &(_, prefix, _) in ALLOC_BUDGET_AREAS {
-        report
-            .alloc_sites
-            .extend(attributed_sites(ws, prefix, ALLOC_TOKENS, "A1"));
+        let (sites, escapes) = alloc_sites(ws, prefix);
+        report.alloc_sites.extend(sites);
+        report.allows.extend(escapes);
     }
-    // Record honored escapes.
-    for &(_, prefix, _) in ALLOC_BUDGET_AREAS {
-        let escapes: Vec<(String, usize)> = ws
-            .sources_under(prefix)
-            .flat_map(|file| {
-                file.lines.iter().enumerate().filter_map(|(idx, line)| {
-                    let is_alloc_line = ALLOC_TOKENS.iter().any(|t| count_token(&line.code, t) > 0);
-                    (!line.in_test && is_alloc_line && line.allows.iter().any(|a| a == "A1"))
-                        .then(|| (file.rel.clone(), idx + 1))
-                })
-            })
-            .collect();
-        for (file, line) in escapes {
-            report.allows.push(AllowUse {
-                rule: "A1".to_string(),
-                file,
-                line,
-            });
-        }
-    }
+    report.alloc_counts = counts.clone();
 
     let Some(baseline) = Baseline::load(&ws.root)? else {
+        report.findings.push(Finding {
+            rule: "A1",
+            file: BASELINE_FILE.to_string(),
+            line: 0,
+            message: "alloc-budget baseline missing; run `gfw-lint --bless` to create it"
+                .to_string(),
+        });
         return Ok(());
     };
     for (name, &count) in &counts {
@@ -326,173 +160,6 @@ pub fn a1_alloc_budget(ws: &Workspace, report: &mut Report) -> Result<(), String
         }
     }
     Ok(())
-}
-
-/// C1: protocol constants agree across `sscrypto::method`,
-/// `core::probe` and `shadowsocks::wire`.
-pub fn c1_protocol_constants(ws: &Workspace, report: &mut Report) {
-    let method_rel = "crates/sscrypto/src/method.rs";
-    let Some(method) = ws.sources.get(method_rel) else {
-        return; // nothing to cross-check in this tree
-    };
-
-    // 1. Parse the `iv_len` match arms and compare against the paper.
-    let Some(arms) = parse_iv_len_arms(method) else {
-        report.findings.push(Finding {
-            rule: "C1",
-            file: method_rel.to_string(),
-            line: 1,
-            message: "could not locate `fn iv_len` match arms to cross-check".to_string(),
-        });
-        return;
-    };
-    let mut declared: Vec<(&str, usize)> = Vec::new(); // (variant, declared len)
-    for &(variant, want) in IV_EXPECT {
-        let token = format!("Method::{variant}");
-        match arms.iter().find(|(pat, _, _)| has_token(pat, &token)) {
-            None => report.findings.push(Finding {
-                rule: "C1",
-                file: method_rel.to_string(),
-                line: 1,
-                message: format!("no `iv_len` arm covers `Method::{variant}`"),
-            }),
-            Some(&(_, got, line)) => {
-                declared.push((variant, got));
-                if got != want {
-                    let kind = if AEAD_VARIANTS.contains(&variant) {
-                        "salt"
-                    } else {
-                        "IV"
-                    };
-                    report.findings.push(Finding {
-                        rule: "C1",
-                        file: method_rel.to_string(),
-                        line,
-                        message: format!(
-                            "`Method::{variant}` declares a {got}-byte {kind}; the paper's \
-                             Fig 10 table requires {want} bytes"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    let stream_ivs: Vec<usize> = dedup_sorted(
-        declared
-            .iter()
-            .filter(|(v, _)| !AEAD_VARIANTS.contains(v))
-            .map(|&(_, l)| l),
-    );
-    let aead_salts: Vec<usize> = dedup_sorted(
-        declared
-            .iter()
-            .filter(|(v, _)| AEAD_VARIANTS.contains(v))
-            .map(|&(_, l)| l),
-    );
-
-    // 2. The probe sweep in core::probe must cover those lengths.
-    let probe_rel = "crates/core/src/probe.rs";
-    if let Some(probe) = ws.sources.get(probe_rel) {
-        match parse_array_const(probe, "NR1_CENTERS") {
-            None => report.findings.push(Finding {
-                rule: "C1",
-                file: probe_rel.to_string(),
-                line: 1,
-                message: "could not parse `NR1_CENTERS` to cross-check probe lengths".to_string(),
-            }),
-            Some((centers, line)) => {
-                for &iv in &stream_ivs {
-                    if !centers.contains(&iv) {
-                        report.findings.push(Finding {
-                            rule: "C1",
-                            file: probe_rel.to_string(),
-                            line,
-                            message: format!(
-                                "probe sweep `NR1_CENTERS` misses the {iv}-byte stream IV \
-                                 length declared by sscrypto::method"
-                            ),
-                        });
-                    }
-                }
-                for &salt in &aead_salts {
-                    let center = salt + AEAD_CENTER_OFFSET;
-                    if !centers.contains(&center) {
-                        report.findings.push(Finding {
-                            rule: "C1",
-                            file: probe_rel.to_string(),
-                            line,
-                            message: format!(
-                                "probe sweep `NR1_CENTERS` misses {center} \
-                                 (salt {salt} + {AEAD_CENTER_OFFSET}) for the AEAD salt \
-                                 declared by sscrypto::method"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        match parse_int_const(probe, "NR2_LEN") {
-            None => report.findings.push(Finding {
-                rule: "C1",
-                file: probe_rel.to_string(),
-                line: 1,
-                message: "could not parse `NR2_LEN` to cross-check probe lengths".to_string(),
-            }),
-            Some((nr2, line)) => {
-                if let Some(&max_salt) = aead_salts.iter().max() {
-                    let need = max_salt + AEAD_THRESHOLD_OFFSET;
-                    if nr2 <= need {
-                        report.findings.push(Finding {
-                            rule: "C1",
-                            file: probe_rel.to_string(),
-                            line,
-                            message: format!(
-                                "`NR2_LEN` = {nr2} does not exceed the largest AEAD decrypt \
-                                 threshold salt+{AEAD_THRESHOLD_OFFSET} = {need}; long probes \
-                                 would never trigger the threshold reaction"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // 3. The wire framing must derive salt lengths from Method::iv_len.
-    let wire_rel = "crates/shadowsocks/src/wire.rs";
-    if let Some(wire) = ws.sources.get(wire_rel) {
-        let iv_len_refs: usize = wire
-            .lines
-            .iter()
-            .map(|l| count_token(&l.code, ".iv_len()"))
-            .sum();
-        if iv_len_refs < 2 {
-            report.findings.push(Finding {
-                rule: "C1",
-                file: wire_rel.to_string(),
-                line: 1,
-                message: format!(
-                    "expected both wire constructions to take their IV/salt length from \
-                     `Method::iv_len()` (found {iv_len_refs} reference(s)); hardcoded \
-                     lengths drift from sscrypto::method"
-                ),
-            });
-        }
-        let has_salt_guard = wire
-            .lines
-            .iter()
-            .any(|l| l.code.contains("salt.len()") && l.code.contains(".iv_len()"));
-        if !has_salt_guard {
-            report.findings.push(Finding {
-                rule: "C1",
-                file: wire_rel.to_string(),
-                line: 1,
-                message: "missing the salt-length guard coupling `salt.len()` to \
-                          `Method::iv_len()`"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 /// H1: member Cargo.toml dependencies must all be `workspace = true`,
@@ -705,125 +372,6 @@ pub fn count_token(code: &str, token: &str) -> usize {
         start += pos + token.len();
     }
     count
-}
-
-fn dedup_sorted(iter: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut v: Vec<usize> = iter.collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Extract the `(pattern, value, line)` arms of the `fn iv_len` match.
-fn parse_iv_len_arms(file: &SourceFile) -> Option<Vec<(String, usize, usize)>> {
-    let start = file
-        .lines
-        .iter()
-        .position(|l| l.code.contains("fn iv_len"))?;
-    // Capture the body of the function by brace counting.
-    let mut depth = 0i32;
-    let mut opened = false;
-    let mut body: Vec<(usize, String)> = Vec::new(); // (line idx, code)
-    'outer: for (idx, line) in file.lines.iter().enumerate().skip(start) {
-        let mut kept = String::new();
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => {
-                    depth -= 1;
-                    if opened && depth == 0 {
-                        body.push((idx, kept));
-                        break 'outer;
-                    }
-                }
-                _ => {
-                    if opened {
-                        kept.push(c);
-                    }
-                }
-            }
-        }
-        if opened {
-            body.push((idx, kept));
-        }
-    }
-    if body.is_empty() {
-        return None;
-    }
-    let mut arms = Vec::new();
-    let mut pattern = String::new();
-    for (idx, code) in body {
-        if let Some((before, after)) = code.split_once("=>") {
-            pattern.push(' ');
-            pattern.push_str(before);
-            let digits: String = after
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if let Ok(value) = digits.parse::<usize>() {
-                arms.push((std::mem::take(&mut pattern), value, idx + 1));
-            } else {
-                pattern.clear();
-            }
-        } else {
-            pattern.push(' ');
-            pattern.push_str(&code);
-        }
-    }
-    Some(arms)
-}
-
-/// Parse `NAME ... = [a, b, c]`, which may span lines. Returns the
-/// values and the 1-based line of the `NAME` token.
-fn parse_array_const(file: &SourceFile, name: &str) -> Option<(Vec<usize>, usize)> {
-    let start = file.lines.iter().position(|l| has_token(&l.code, name))?;
-    // Accumulate lines until a `]` shows up after the `=`, so the
-    // `[usize; N]` type annotation is not mistaken for the initializer.
-    let mut text = String::new();
-    for line in &file.lines[start..] {
-        text.push_str(&line.code);
-        text.push(' ');
-        if let Some(eq) = text.find('=') {
-            if text[eq..].contains(']') {
-                break;
-            }
-        }
-    }
-    let eq = text.find('=')?;
-    let open = text[eq..].find('[')? + eq;
-    let close = text[open..].find(']')? + open;
-    let mut values = Vec::new();
-    for part in text[open + 1..close].split(',') {
-        let digits: String = part
-            .trim()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if !digits.is_empty() {
-            values.push(digits.parse().ok()?);
-        }
-    }
-    Some((values, start + 1))
-}
-
-/// Parse `NAME ... = <int>`. Returns the value and 1-based line.
-fn parse_int_const(file: &SourceFile, name: &str) -> Option<(usize, usize)> {
-    let idx = file
-        .lines
-        .iter()
-        .position(|l| has_token(&l.code, name) && l.code.contains('='))?;
-    let code = &file.lines[idx].code;
-    let after = &code[code.find('=')? + 1..];
-    let digits: String = after
-        .trim()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    Some((digits.parse().ok()?, idx + 1))
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,34 +657,8 @@ mod tests {
 
     #[test]
     fn count_token_counts() {
-        assert_eq!(count_token("a.unwrap().unwrap()", ".unwrap()"), 2);
-        assert_eq!(count_token("no panics here", "panic!"), 0);
-    }
-
-    #[test]
-    fn iv_len_arm_parser() {
-        let src = "impl Method {\n    pub fn iv_len(&self) -> usize {\n        match self {\n            Method::ChaCha20 => 8,\n            Method::A\n            | Method::B => 16,\n            Method::ChaCha20Ietf => 12,\n        }\n    }\n}\n";
-        let f = SourceFile::scan("m.rs", src);
-        let arms = parse_iv_len_arms(&f).unwrap();
-        assert_eq!(arms.len(), 3);
-        assert!(has_token(&arms[0].0, "Method::ChaCha20"));
-        assert_eq!(arms[0].1, 8);
-        assert_eq!(arms[0].2, 4);
-        assert!(has_token(&arms[1].0, "Method::B"));
-        assert_eq!(arms[1].1, 16);
-        assert_eq!(arms[2].1, 12);
-    }
-
-    #[test]
-    fn array_and_int_consts() {
-        let src = "/// doc\npub const NR1_CENTERS: [usize; 3] = [8,\n    12, 16];\npub const NR2_LEN: usize = 221;\n";
-        let f = SourceFile::scan("p.rs", src);
-        let (vals, line) = parse_array_const(&f, "NR1_CENTERS").unwrap();
-        assert_eq!(vals, vec![8, 12, 16]);
-        assert_eq!(line, 2);
-        let (v, line) = parse_int_const(&f, "NR2_LEN").unwrap();
-        assert_eq!(v, 221);
-        assert_eq!(line, 4);
+        assert_eq!(count_token("a.clone().clone()", ".clone()"), 2);
+        assert_eq!(count_token("no copies here", ".to_vec()"), 0);
     }
 
     #[test]

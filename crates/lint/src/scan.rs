@@ -156,7 +156,7 @@ impl SourceFile {
     }
 }
 
-/// Parse `gfwlint: allow(P1, W1)` escapes out of a comment.
+/// Parse `gfwlint: allow(A1, W1)` escapes out of a comment.
 fn parse_allows(comment: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = comment;
@@ -292,11 +292,11 @@ fn gated() { z.unwrap(); }
     #[test]
     fn allows_attach_to_line_or_next_line() {
         let src =
-            "let a = x.unwrap(); // gfwlint: allow(P1)\n// gfwlint: allow(P1, C1)\nlet b = 1;\n";
+            "let a = x.to_vec(); // gfwlint: allow(A1)\n// gfwlint: allow(A1, W1)\nlet b = 1;\n";
         let f = SourceFile::scan("t.rs", src);
-        assert_eq!(f.lines[0].allows, vec!["P1"]);
+        assert_eq!(f.lines[0].allows, vec!["A1"]);
         assert!(f.lines[1].allows.is_empty() || f.lines[1].code.trim().is_empty());
-        assert_eq!(f.lines[2].allows, vec!["P1", "C1"]);
+        assert_eq!(f.lines[2].allows, vec!["A1", "W1"]);
     }
 
     #[test]

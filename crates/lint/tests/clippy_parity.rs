@@ -6,12 +6,15 @@
 //! block for a `// SAFETY:` comment and every `unsafe fn` for a
 //! `# Safety` section (private ones too, by `clippy.toml`'s
 //! `check-private-items`); H1 makes every member inherit those lints.
+//! The protocol crates warn on `unwrap`, `expect`, `panic!` and
+//! `unreachable!` by crate attribute, and `clippy.toml`'s
+//! `allow-*-in-tests` keys exempt test code from the first three.
 //!
 //! Each test runs clippy with the repository's real `clippy.toml` on a
 //! small compilable fixture and pins every diagnostic by `file:line` and
-//! lint name, so deleting a `clippy.toml` entry or a workspace lint
-//! fails here. Clippy builds into `target/clippy-parity`, which keeps
-//! the main build cache untouched.
+//! lint name, so deleting a `clippy.toml` entry, a workspace lint or a
+//! crate's panic-lint attribute fails here. Clippy builds into
+//! `target/clippy-parity`, which keeps the main build cache untouched.
 
 use gfw_lint::{run, Options};
 use std::path::{Path, PathBuf};
@@ -37,13 +40,15 @@ fn between<'a>(line: &'a str, start: &str, end: &str) -> Option<&'a str> {
     Some(&line[from..from + len])
 }
 
-/// Run clippy on one fixture workspace and return its diagnostics as
-/// sorted `(file:line, lint)` pairs.
+/// Run clippy on every target of one fixture workspace, as ci.sh does
+/// on the real one, and return its diagnostics as sorted, deduplicated
+/// `(file:line, lint)` pairs (a lib's test build repeats its lib
+/// build's diagnostics).
 fn clippy(fixture: &str) -> Vec<(String, String)> {
     let root = repo_root();
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let out = Command::new(cargo)
-        .args(["clippy", "--offline", "--quiet"])
+        .args(["clippy", "--offline", "--quiet", "--all-targets"])
         .arg("--message-format=json-diagnostic-short")
         .current_dir(fixture_root(fixture))
         .env("CLIPPY_CONF_DIR", &root)
@@ -67,6 +72,7 @@ fn clippy(fixture: &str) -> Vec<(String, String)> {
         String::from_utf8_lossy(&out.stderr)
     );
     found.sort();
+    found.dedup();
     found
 }
 
@@ -216,4 +222,42 @@ fn unsafe_islands_document_every_site() {
     })
     .expect("lint run failed");
     assert!(report.findings.is_empty(), "{:?}", report.findings);
+}
+
+/// The `#![warn(...)]` attribute that opens `lib.rs`, as written.
+fn warn_attribute(lib: &Path) -> String {
+    let text = std::fs::read_to_string(lib).expect("lib.rs");
+    let start = text.find("#![warn(").expect("a `#![warn(` attribute");
+    let len = text[start..].find(")]").expect("a closed attribute") + 2;
+    text[start..start + len].to_string()
+}
+
+#[test]
+fn panic_sites_outside_tests() {
+    let fixture = "panic_sites";
+    let attribute = warn_attribute(&fixture_root(fixture).join("crates/proto/src/lib.rs"));
+    for krate in ["core", "netsim", "shadowsocks", "sscrypto", "trafficgen"] {
+        let lib = repo_root().join("crates").join(krate).join("src/lib.rs");
+        assert_eq!(
+            warn_attribute(&lib),
+            attribute,
+            "crates/{krate} must carry the fixture's panic lints verbatim"
+        );
+    }
+    // One site per lint in `port`. The same `unwrap`, `expect` and
+    // `panic!` in the `#[cfg(test)]` module and the `#[test]` fn pass
+    // by `clippy.toml`'s `allow-*-in-tests` keys.
+    // Clippy has no such key for `unreachable!`, so test code that
+    // needs one writes `panic!` instead.
+    assert_clippy(
+        fixture,
+        &[
+            ("crates/proto/src/lib.rs:12", "clippy::unwrap_used"),
+            ("crates/proto/src/lib.rs:13", "clippy::expect_used"),
+            ("crates/proto/src/lib.rs:15", "clippy::panic"),
+            ("crates/proto/src/lib.rs:18", "clippy::unreachable"),
+            ("crates/proto/src/lib.rs:32", "clippy::unreachable"),
+            ("crates/proto/src/lib.rs:51", "clippy::unreachable"),
+        ],
+    );
 }

@@ -1,13 +1,6 @@
-//! Wire framing that derives lengths from `Method::iv_len`.
+//! Wire framing that writes into the caller's buffer.
 
-use sscrypto::method::Method;
-
-/// Salt length must come from the method table, never a literal.
-pub fn check_salt(salt: &[u8], method: &Method) {
-    assert_eq!(salt.len(), method.iv_len(), "bad salt length");
-}
-
-/// Header size of the AEAD construction.
-pub fn header_len(method: &Method) -> usize {
-    method.iv_len() + 2 + 16
+/// Append `data` to the frame being built in `out`.
+pub fn frame_into(out: &mut Vec<u8>, data: &[u8]) {
+    out.extend_from_slice(data);
 }

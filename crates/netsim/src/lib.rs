@@ -78,6 +78,15 @@
 //! sim.run();
 //! ```
 
+// A panic on malformed input would stand in for the reaction the paper
+// measures: each remaining site carries a reasoned `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod app;
 pub mod capture;
 pub mod conn;

@@ -356,6 +356,10 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `addr` is not a registered host.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics`: the caller names a host it registered"
+    )]
     pub fn set_window_shaper(&mut self, addr: Ipv4, shaper: Option<crate::host::WindowShaper>) {
         self.hosts
             .by_addr_mut(addr)

@@ -22,6 +22,15 @@
 //! The paper's threat model lives in the `gfw-core` crate; this crate is
 //! the *defender* side of the reproduction.
 
+// A panic on malformed input would stand in for the reaction the paper
+// measures: each remaining site carries a reasoned `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod addr;
 pub mod apps;
 pub mod bloom;

@@ -511,15 +511,23 @@ mod tests {
 
     #[test]
     fn aead_frame_overhead_matches_spec() {
-        // First frame: salt + 2 + 16 + payload + 16 (§2 of the paper).
-        let m = Method::ChaCha20IetfPoly1305;
-        let key = key_for(m);
-        let mut enc = AeadEncryptor::new(m, &key, vec![1u8; 32]);
-        let ct = enc.seal(b"abc");
-        assert_eq!(ct.len(), 32 + 2 + 16 + 3 + 16);
-        // Second frame has no salt.
-        let ct2 = enc.seal(b"defg");
-        assert_eq!(ct2.len(), 2 + 16 + 4 + 16);
+        // First frame: salt + 2 + 16 + payload + 16 (§2 of the paper),
+        // with the salt as long as the method's `iv_len`.
+        for &m in ALL_METHODS.iter().filter(|m| m.kind() == Kind::Aead) {
+            let key = key_for(m);
+            let mut enc = AeadEncryptor::new(m, &key, vec![1u8; m.iv_len()]);
+            let ct = enc.seal(b"abc");
+            assert_eq!(ct.len(), m.iv_len() + 2 + 16 + 3 + 16, "{}", m.name());
+            // The decryptor reads the same salt length: one byte short
+            // of the first frame yields nothing, the whole frame all.
+            let mut dec = AeadDecryptor::new(m, &key);
+            let (head, last) = ct.split_at(ct.len() - 1);
+            assert!(dec.decrypt(head).unwrap().is_empty(), "{}", m.name());
+            assert_eq!(dec.decrypt(last).unwrap().concat(), b"abc", "{}", m.name());
+            // Second frame has no salt.
+            let ct2 = enc.seal(b"defg");
+            assert_eq!(ct2.len(), 2 + 16 + 4 + 16, "{}", m.name());
+        }
     }
 
     #[test]

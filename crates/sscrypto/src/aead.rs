@@ -46,6 +46,10 @@ impl Aead for AesGcm {
         NONCE_LEN
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the `Aead` contract: a nonce of other than `nonce_len()` bytes is a caller bug"
+    )]
     fn seal(&self, nonce: &[u8], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
         self.seal_in_place(
             nonce.try_into().expect("GCM nonce must be 12 bytes"),
@@ -54,6 +58,10 @@ impl Aead for AesGcm {
         )
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the `Aead` contract: a nonce of other than `nonce_len()` bytes is a caller bug"
+    )]
     fn open(
         &self,
         nonce: &[u8],
@@ -120,6 +128,10 @@ impl Aead for ChaCha20Poly1305 {
         NONCE_LEN
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the `Aead` contract: a nonce of other than `nonce_len()` bytes is a caller bug"
+    )]
     fn seal(&self, nonce: &[u8], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
         let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("nonce must be 12 bytes");
         let mut c = ChaCha20::with_features(&self.key, nonce, 1, self.feat);
@@ -127,6 +139,10 @@ impl Aead for ChaCha20Poly1305 {
         self.tag(nonce, aad, data)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the `Aead` contract: a nonce of other than `nonce_len()` bytes is a caller bug"
+    )]
     fn open(
         &self,
         nonce: &[u8],
@@ -168,6 +184,10 @@ impl XChaCha20Poly1305 {
         XChaCha20Poly1305 { key: *key, feat }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the `Aead` contract: a nonce of other than `nonce_len()` bytes is a caller bug"
+    )]
     fn inner(&self, nonce: &[u8]) -> (ChaCha20Poly1305, [u8; NONCE_LEN]) {
         let xn: &[u8; XNONCE_LEN] = nonce.try_into().expect("nonce must be 24 bytes");
         let mut head = [0u8; 16];

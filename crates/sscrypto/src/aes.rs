@@ -137,6 +137,10 @@ impl Aes {
     /// # Panics
     ///
     /// Panics on invalid key lengths, like [`Aes::new`].
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics`: AES has no key of other than 16, 24 or 32 bytes"
+    )]
     pub fn with_features(key: &[u8], feat: CpuFeatures) -> Self {
         let rounds = match key.len() {
             16 => 10,

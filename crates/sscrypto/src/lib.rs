@@ -39,6 +39,15 @@
 //! Constant-time operation and side-channel resistance are non-goals:
 //! these primitives feed a censorship *simulator*, not production traffic.
 
+// A panic on malformed input would stand in for the reaction the paper
+// measures: each remaining site carries a reasoned `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod aead;
 pub mod aes;
 mod block;

@@ -199,6 +199,10 @@ impl Method {
     /// # Panics
     ///
     /// Same conditions as [`Method::stream_key`].
+    #[expect(
+        clippy::unreachable,
+        reason = "the body's first assert rules out every AEAD method"
+    )]
     pub fn stream_key_with(&self, key: &[u8], feat: CpuFeatures) -> StreamKey {
         assert_eq!(
             self.kind(),
@@ -275,6 +279,11 @@ impl Method {
     /// # Panics
     ///
     /// Same conditions as [`Method::new_aead`].
+    #[expect(
+        clippy::unwrap_used,
+        clippy::unreachable,
+        reason = "the body's asserts admit only AEAD methods, and 32-byte subkeys for the ChaCha20 ones"
+    )]
     pub fn new_aead_with(&self, subkey: &[u8], feat: CpuFeatures) -> Box<dyn Aead> {
         assert_eq!(
             self.kind(),
@@ -511,6 +520,29 @@ mod tests {
 
     #[test]
     fn iv_len_groups_match_paper() {
+        // Each method's IV or salt length, as the paper's Fig 10 rows
+        // group them; `ALL_METHODS` holds exactly these, in this order.
+        let table = [
+            (Method::Aes128Ctr, 16),
+            (Method::Aes192Ctr, 16),
+            (Method::Aes256Ctr, 16),
+            (Method::Aes128Cfb, 16),
+            (Method::Aes192Cfb, 16),
+            (Method::Aes256Cfb, 16),
+            (Method::ChaCha20, 8),
+            (Method::ChaCha20Ietf, 12),
+            (Method::Rc4Md5, 16),
+            (Method::Aes128Gcm, 16),
+            (Method::Aes192Gcm, 24),
+            (Method::Aes256Gcm, 32),
+            (Method::ChaCha20IetfPoly1305, 32),
+            (Method::XChaCha20IetfPoly1305, 32),
+        ];
+        let methods: Vec<Method> = table.iter().map(|&(m, _)| m).collect();
+        assert_eq!(methods, ALL_METHODS);
+        for (m, len) in table {
+            assert_eq!(m.iv_len(), len, "{}", m.name());
+        }
         // Fig 10a rows: stream IVs of 8, 12, 16 bytes all exist.
         let mut stream_ivs: Vec<usize> = ALL_METHODS
             .iter()

@@ -13,6 +13,15 @@
 //! This crate builds all of those, both as pure payload generators and
 //! as `netsim` driver applications.
 
+// A panic on malformed input would stand in for the reaction the paper
+// measures: each remaining site carries a reasoned `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod drivers;
 pub mod mix;
 pub mod payload;
