@@ -283,8 +283,8 @@ mod tests {
 
     /// The mix engine win, re-measured on every run: same population,
     /// same verdicts, far fewer events under the hybrid engine.
-    /// Seed 11 measures 202,417 packet-engine events against 29,013
-    /// hybrid (6.98x); the bar sits at about 70% of that.
+    /// Seed 11 measures 198,633 packet-engine events against 24,943
+    /// hybrid (7.96x); the bar sits at about 63% of that.
     #[test]
     fn hybrid_engine_collapses_mix_events() {
         let specs: Vec<_> = [EngineMode::Packet, EngineMode::Hybrid]

@@ -9,7 +9,8 @@
 //! * the *code text* per line — comments and string/char literal
 //!   contents blanked out (columns preserved), so a `thread_rng` inside
 //!   a doc comment or a format string never trips a token rule;
-//! * the *comment text* per line, for `// gfwlint: allow(RULE)` escapes;
+//! * the `// gfwlint: allow(RULE)` escapes parsed from each line's
+//!   comments;
 //! * whether the line sits inside a `#[cfg(test)]`-gated item —
 //!   **exact**, including nested `mod tests` and `#[cfg(all(test, …))]`
 //!   forms, because it comes from the item tree rather than a regex;
@@ -23,14 +24,10 @@ use std::path::Path;
 /// One scanned source line.
 #[derive(Debug)]
 pub struct Line {
-    /// The original line text.
-    pub raw: String,
     /// The line with comments and literal contents replaced by spaces.
     /// Columns are preserved, so byte offsets into `code` line up with
-    /// `raw`.
+    /// the source line.
     pub code: String,
-    /// The comment text on this line (contents of `//`/`/* */` pieces).
-    pub comment: String,
     /// True when the line is inside a `#[cfg(test)]`-gated item.
     pub in_test: bool,
     /// Rule IDs suppressed on this line via `// gfwlint: allow(...)`.
@@ -116,8 +113,7 @@ impl SourceFile {
 
         let mut lines = Vec::with_capacity(n_lines);
         let mut pending_allows: Vec<String> = Vec::new();
-        for (idx, (raw, code)) in text.lines().zip(blanked.lines()).enumerate() {
-            let comment = std::mem::take(&mut per_line_comment[idx]);
+        for (idx, (code, comment)) in blanked.lines().zip(per_line_comment).enumerate() {
             let mut allows = parse_allows(&comment);
             if code.trim().is_empty() {
                 // A comment-only line: its allows apply to the next code line.
@@ -126,9 +122,7 @@ impl SourceFile {
                 allows.append(&mut pending_allows);
             }
             lines.push(Line {
-                raw: raw.to_string(),
                 code: code.to_string(),
-                comment,
                 in_test: items.line_in_test(idx + 1),
                 allows,
             });
@@ -217,15 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn comment_text_is_preserved_per_line() {
-        let f = SourceFile::scan(
-            "t.rs",
-            "// SAFETY: bounds checked above\nlet x = 1; // trailing\n/* a\nb */ let y = 2;\n",
-        );
-        assert!(f.lines[0].comment.contains("SAFETY: bounds checked"));
-        assert!(f.lines[1].comment.contains("trailing"));
-        assert!(f.lines[2].comment.contains("a"));
-        assert!(f.lines[3].comment.contains("b"));
+    fn allows_are_parsed_from_trailing_and_block_comments() {
+        let src = "\
+let a = 1; // gfwlint: allow(A1)
+/* gfwlint: allow(W1) */ let b = 2;
+let c = 3; /* gfwlint: allow(R1) */
+/* spans
+   gfwlint: allow(H1) */
+let d = 4;
+";
+        let f = SourceFile::scan("t.rs", src);
+        assert_eq!(f.lines[0].allows, vec!["A1"]);
+        assert_eq!(f.lines[1].allows, vec!["W1"]);
+        assert_eq!(f.lines[2].allows, vec!["R1"]);
+        // A block comment's allow on a comment-only line applies to the
+        // next code line.
+        assert_eq!(f.lines[5].allows, vec!["H1"]);
     }
 
     #[test]

@@ -182,8 +182,23 @@ impl<T> EventQueue<T> {
     /// Queue `item` at `at`. Ties with already-queued entries at the
     /// same time pop in push order.
     pub fn push(&mut self, at: SimTime, item: T) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, item);
+    }
+
+    /// Take the next insertion sequence number without queueing
+    /// anything: a later [`EventQueue::push_reserved`] under it ties
+    /// exactly as a [`EventQueue::push`] made now would have.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
+        seq
+    }
+
+    /// Queue `item` at `at` under `seq`, a number from
+    /// [`EventQueue::reserve_seq`] used at most once. `(at, seq)` must
+    /// not precede an entry already popped.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, item: T) {
         self.len = self.len.wrapping_add(1);
         self.insert(Entry { at, seq, item });
     }

@@ -7,7 +7,7 @@
 //! clocks at 250/1000 Hz (Fig 6).
 
 use crate::packet::Ipv4;
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 use rand::Rng;
 
 /// Which side of the Great Firewall a host sits on. Packets whose two
@@ -116,9 +116,6 @@ pub struct HostConfig {
     /// Optional brdgrd-style receive-window shaping for inbound
     /// connections served by this host.
     pub window_shaper: Option<WindowShaper>,
-    /// SYN-timeout: how long this host's clients wait for a SYN-ACK
-    /// before giving up.
-    pub syn_timeout: Duration,
 }
 
 impl HostConfig {
@@ -142,7 +139,6 @@ impl HostConfig {
             ip_id_policy: IpIdPolicy::Sequential,
             ts_clock: None,
             window_shaper: None,
-            syn_timeout: Duration::from_secs(20),
         }
     }
 }
@@ -250,6 +246,7 @@ impl HostArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

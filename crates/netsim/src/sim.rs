@@ -5,7 +5,9 @@
 //!
 //! * all randomness flows through one seeded `StdRng`;
 //! * the event queue orders by `(time, insertion sequence)`, so ties are
-//!   resolved by scheduling order, never by hash iteration;
+//!   resolved by scheduling order, never by hash iteration; a SYN
+//!   deadline, queued only once it heads the simulator's deadline FIFO,
+//!   carries the sequence number reserved when its connection opened;
 //! * apps communicate only through the command queue, applied in order.
 //!
 //! ## Simplifications relative to real TCP
@@ -115,9 +117,12 @@ enum Event {
     /// connect) bounds the event queue — and peak RSS — by the number
     /// of *distinct* connect times in flight, not the number of flows.
     OpenConn,
-    SynTimeout {
-        conn: ConnId,
-    },
+    /// The head of the SYN-deadline FIFO is due: time out its
+    /// connection if it is still waiting for a SYN-ACK, then arm the
+    /// next deadline whose connection still is. Only the head holds a
+    /// queue entry, so a deadline whose handshake completes before the
+    /// head reaches it never enters the queue.
+    SynTimeout,
     RemoteRefused {
         conn: ConnId,
     },
@@ -177,6 +182,11 @@ impl InFlight {
         pkt
     }
 }
+
+/// How long a client waits for a SYN-ACK before its connect fails.
+/// One value for every host, so deadlines taken in time order expire
+/// in that order.
+pub const SYN_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Aggregate counters, cheap enough to keep always-on.
 #[derive(Clone, Copy, Debug, Default)]
@@ -246,6 +256,11 @@ struct PendingConnect {
 }
 
 /// The discrete-event network simulator.
+///
+/// Schedules that would mostly queue events that do nothing keep a
+/// FIFO of their own instead, and only its head holds a queue entry:
+/// pending connects, and SYN deadlines, which in an unblocked run
+/// almost never fire because the handshake completes first.
 pub struct Simulator {
     config: SimConfig,
     now: SimTime,
@@ -268,6 +283,12 @@ pub struct Simulator {
     /// the guard that keeps the common (monotone) schedule at exactly
     /// one queue entry.
     next_open_at: Option<SimTime>,
+    /// SYN deadlines `(due, queue seq, conn)` in opening order, which is
+    /// `(due, seq)` order because [`SYN_TIMEOUT`] is one constant. When
+    /// non-empty, the head alone holds a queue entry
+    /// ([`Event::SynTimeout`]), pushed under the seq reserved when its
+    /// connection opened, so it ties exactly as a push made then would.
+    syn_deadlines: VecDeque<(SimTime, u64, ConnId)>,
     fluid: FluidState,
     rng: StdRng,
     /// Scratch command buffer for [`Simulator::dispatch`], reused
@@ -299,6 +320,7 @@ impl Simulator {
             captures: Vec::new(),
             scheduled_connects: VecDeque::new(),
             next_open_at: None,
+            syn_deadlines: VecDeque::new(),
             fluid: FluidState::new(config.bandwidth),
             rng: StdRng::seed_from_u64(seed),
             commands: Vec::new(),
@@ -502,7 +524,7 @@ impl Simulator {
                 }
                 self.arm_open_event();
             }
-            Event::SynTimeout { conn } => self.handle_syn_timeout(conn),
+            Event::SynTimeout => self.handle_syn_timeout(),
             Event::RemoteRefused { conn } => self.handle_remote_refused(conn),
             Event::Retransmit { slot, attempt } => {
                 if let Some(pkt) = self.in_flight.take(slot) {
@@ -519,7 +541,13 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn push(&mut self, at: SimTime, ev: Event) {
-        self.queue.push(at, ev);
+        let seq = self.queue.reserve_seq();
+        self.push_reserved(at, seq, ev);
+    }
+
+    /// Queue `ev` under a seq from [`EventQueue::reserve_seq`].
+    fn push_reserved(&mut self, at: SimTime, seq: u64, ev: Event) {
+        self.queue.push_reserved(at, seq, ev);
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queue.len() as u64);
     }
 
@@ -1241,21 +1269,28 @@ impl Simulator {
             Duration::ZERO,
         );
 
-        let syn_timeout = client_host
-            .map(|h| self.hosts.get(h).config.syn_timeout)
-            .unwrap_or(Duration::from_secs(20));
         if server_host.is_some() {
-            self.push(self.now + syn_timeout, Event::SynTimeout { conn });
+            self.add_syn_deadline(conn);
         } else {
             // Unregistered destination: the Internet model decides.
             match self.config.internet.outcome(to, &mut self.rng) {
                 RemoteOutcome::Refused { after } => {
                     self.push(self.now + after, Event::RemoteRefused { conn });
                 }
-                RemoteOutcome::BlackHole => {
-                    self.push(self.now + syn_timeout, Event::SynTimeout { conn });
-                }
+                RemoteOutcome::BlackHole => self.add_syn_deadline(conn),
             }
+        }
+    }
+
+    /// Start `conn`'s SYN deadline, taking the queue seq its own push
+    /// would have taken here; only a deadline that becomes the FIFO's
+    /// head is queued.
+    fn add_syn_deadline(&mut self, conn: ConnId) {
+        let due = self.now + SYN_TIMEOUT;
+        let seq = self.queue.reserve_seq();
+        self.syn_deadlines.push_back((due, seq, conn));
+        if self.syn_deadlines.len() == 1 {
+            self.push_reserved(due, seq, Event::SynTimeout);
         }
     }
 
@@ -1526,15 +1561,36 @@ impl Simulator {
         }
     }
 
-    fn handle_syn_timeout(&mut self, conn: ConnId) {
-        let Some(c) = self.conns.get_mut(conn) else {
-            return;
-        };
-        if c.state == ConnState::SynSent {
-            c.state = ConnState::Closed;
-            c.close_reason = Some(CloseReason::SynTimeout);
-            let app = c.client_app;
-            self.conns.remove(conn);
+    /// The FIFO head's deadline fired: fail its connection if it still
+    /// waits for a SYN-ACK, drop every following deadline whose
+    /// connection no longer does, and queue the new head before the app
+    /// hears of the failure (its callback may open connections, which
+    /// queue their deadline only into an empty FIFO).
+    fn handle_syn_timeout(&mut self) {
+        let mut failed = None;
+        if let Some((due, _, conn)) = self.syn_deadlines.pop_front() {
+            debug_assert_eq!(due, self.now, "only the FIFO head is queued");
+            if let Some(c) = self.conns.get_mut(conn) {
+                if c.state == ConnState::SynSent {
+                    c.state = ConnState::Closed;
+                    c.close_reason = Some(CloseReason::SynTimeout);
+                    failed = Some((c.client_app, conn));
+                    self.conns.remove(conn);
+                }
+            }
+        }
+        while let Some(&(due, seq, conn)) = self.syn_deadlines.front() {
+            if self
+                .conns
+                .get(conn)
+                .is_some_and(|c| c.state == ConnState::SynSent)
+            {
+                self.push_reserved(due, seq, Event::SynTimeout);
+                break;
+            }
+            self.syn_deadlines.pop_front();
+        }
+        if let Some((app, conn)) = failed {
             self.dispatch(
                 app,
                 AppEvent::ConnectFailed {

@@ -18,7 +18,10 @@
 //!   push there is clamped into the ready batch);
 //! * `next_time` calls between pushes and pops, as the simulator's run
 //!   loop and the GFW scheduler make them: each may run a refill, so
-//!   later pushes land in wheel cells that earlier drains freed.
+//!   later pushes land in wheel cells that earlier drains freed;
+//! * sequence numbers reserved now and pushed under later, after other
+//!   pushes and pops, as the simulator queues SYN deadlines: the entry
+//!   must tie by its reserved number, not by when it was pushed.
 
 #![expect(
     clippy::disallowed_types,
@@ -40,8 +43,17 @@ struct HeapRef {
 
 impl HeapRef {
     fn push(&mut self, at: SimTime, item: u32) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, item);
+    }
+
+    fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    fn push_reserved(&mut self, at: SimTime, seq: u64, item: u32) {
         self.heap.push(Reverse((at, seq, item)));
     }
 
@@ -62,6 +74,11 @@ enum Op {
     Pop,
     /// `next_time`, which may refill the ready batch between pushes.
     Peek,
+    /// Reserve a sequence number for a later `PushReserved`.
+    Reserve,
+    /// Push under the oldest unused reserved number, at this time
+    /// (clamped to the last popped time); a no-op when none is left.
+    PushReserved(u64),
 }
 
 /// log2 of the wheel's tick length in nanoseconds.
@@ -109,6 +126,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Peek),
+        Just(Op::Reserve),
+        time_strategy().prop_map(Op::PushReserved),
     ]
 }
 
@@ -125,6 +144,8 @@ proptest! {
         // popped: the simulator clamps pushes to >= now. Model that by
         // clamping each pushed time to the last popped time.
         let mut now = 0u64;
+        // Reserved numbers not yet pushed under, oldest first.
+        let mut reserved = std::collections::VecDeque::new();
         for (i, op) in ops.iter().enumerate() {
             let push = match *op {
                 Op::Push(t) => Some(SimTime(t.max(now))),
@@ -140,6 +161,20 @@ proptest! {
                 }
                 Op::Peek => {
                     prop_assert_eq!(wheel.next_time(), reference.peek_time());
+                    None
+                }
+                Op::Reserve => {
+                    let seq = wheel.reserve_seq();
+                    prop_assert_eq!(seq, reference.reserve_seq());
+                    reserved.push_back(seq);
+                    None
+                }
+                Op::PushReserved(t) => {
+                    if let Some(seq) = reserved.pop_front() {
+                        let at = SimTime(t.max(now));
+                        wheel.push_reserved(at, seq, i as u32);
+                        reference.push_reserved(at, seq, i as u32);
+                    }
                     None
                 }
             };

@@ -468,3 +468,107 @@ fn connections_are_garbage_collected() {
     assert_eq!(s.stats.connections, 50);
     assert_eq!(s.live_connections(), 0, "closed conns are reclaimed");
 }
+
+#[test]
+fn completed_handshakes_leave_no_syn_deadline_queued() {
+    let mut s = sim();
+    let server = s.add_host(HostConfig::outside("server"));
+    let client = s.add_host(HostConfig::china("client"));
+    let echo = s.add_app(Box::new(EchoOnce));
+    s.listen((server, 8388), echo);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let app = s.add_app(Box::new(RecordingClient {
+        payload: vec![1u8; 5],
+        log,
+    }));
+    for i in 0..1_000 {
+        s.connect_at(
+            SimTime::ZERO + Duration::from_millis(i * 4),
+            app,
+            client,
+            (server, 8388),
+            TcpTuning::default(),
+        );
+    }
+    s.run();
+    assert_eq!(s.live_connections(), 0);
+    // Every connection is open for its 20 s SYN deadline; queued one
+    // per connection, the deadlines alone would hold 1,000 entries at
+    // once. Only the earliest pending deadline holds one.
+    assert!(
+        s.stats.peak_queue_depth < 100,
+        "peak queue depth {}",
+        s.stats.peak_queue_depth
+    );
+}
+
+#[test]
+fn syn_timeout_ties_with_timers_in_scheduling_order() {
+    /// Token of the timer that opens the black-holed connect.
+    const OPEN: u64 = 0;
+    struct TieApp {
+        client: netsim::packet::Ipv4,
+        blackhole: netsim::SocketAddr,
+        log: Rc<RefCell<Vec<(String, SimTime)>>>,
+    }
+    impl App for TieApp {
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx) {
+            let entry = match ev {
+                AppEvent::Connected { conn } => {
+                    ctx.fin(conn);
+                    ctx.set_timer(Duration::from_secs(1), OPEN);
+                    return;
+                }
+                AppEvent::Timer { token: OPEN } => {
+                    // Three things due at one nanosecond, now + 20 s: a
+                    // timer, the connect's SYN deadline, a timer.
+                    ctx.set_timer(Duration::from_secs(20), 1);
+                    ctx.connect(self.client, self.blackhole, TcpTuning::default());
+                    ctx.set_timer(Duration::from_secs(20), 2);
+                    "open".to_string()
+                }
+                AppEvent::Timer { token } => format!("timer {token}"),
+                AppEvent::ConnectFailed { refused, .. } => format!("failed refused={refused}"),
+                _ => return,
+            };
+            self.log.borrow_mut().push((entry, ctx.now));
+        }
+    }
+    let mut cfg = SimConfig::default();
+    cfg.internet.p_refused = 0.0;
+    let mut s = Simulator::new(cfg, 9);
+    let server = s.add_host(HostConfig::outside("server"));
+    let client = s.add_host(HostConfig::outside("client"));
+    let echo = s.add_app(Box::new(EchoOnce));
+    s.listen((server, 8388), echo);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let app = s.add_app(Box::new(TieApp {
+        client,
+        blackhole: (netsim::packet::Ipv4::new(203, 0, 113, 9), 443),
+        log: log.clone(),
+    }));
+    // This handshake completes, so its SYN deadline at 20 s fires for
+    // nothing; only then is the black-holed connect's deadline queued,
+    // long after both timers around it.
+    s.connect_at(
+        SimTime::ZERO,
+        app,
+        client,
+        (server, 8388),
+        TcpTuning::default(),
+    );
+    s.run();
+    let log = log.borrow();
+    let opened = log[0].1;
+    let due = opened + Duration::from_secs(20);
+    let got: Vec<(&str, SimTime)> = log.iter().map(|(e, t)| (e.as_str(), *t)).collect();
+    assert_eq!(
+        got,
+        vec![
+            ("open", opened),
+            ("timer 1", due),
+            ("failed refused=false", due),
+            ("timer 2", due),
+        ]
+    );
+}

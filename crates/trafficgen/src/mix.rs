@@ -267,17 +267,15 @@ fn ss_first_payload_len(method: Method) -> usize {
     wire - overhead
 }
 
-/// Safety close: flows that somehow linger (lost FINs under
-/// impairment) are cut after this long.
-const CLIENT_CLOSE_AFTER: Duration = Duration::from_secs(45);
-
 /// Linger after a bulk tail completes before the server FINs, so any
 /// in-flight packet-phase segments land first.
 const SERVER_LINGER: Duration = Duration::from_millis(200);
 
 /// Client side of one background profile. All payload bytes come from
 /// [`conn_rng`] streams (see module docs); the shared simulator RNG is
-/// never touched.
+/// never touched. It closes when the server does and sets no timer:
+/// every background flow ends with the server's FIN, because the mix
+/// runs on unimpaired links, where no FIN is lost.
 struct ProfileClient {
     profile: Profile,
     seed: u64,
@@ -296,16 +294,10 @@ impl App for ProfileClient {
                     let mut rng = conn_rng(self.seed ^ STREAM_FIRST, conn.0);
                     ctx.send(conn, self.profile.first_payload(&mut rng));
                 }
-                ctx.set_timer(CLIENT_CLOSE_AFTER, conn.0);
             }
             AppEvent::Data { conn, .. } if self.pending_first.remove(&conn) => {
                 let mut rng = conn_rng(self.seed ^ STREAM_FIRST, conn.0);
                 ctx.send(conn, self.profile.first_payload(&mut rng));
-            }
-            AppEvent::Timer { token } => {
-                let conn = ConnId(token);
-                self.pending_first.remove(&conn);
-                ctx.fin(conn);
             }
             AppEvent::PeerFin { conn } | AppEvent::PeerRst { conn } => {
                 self.pending_first.remove(&conn);
