@@ -92,11 +92,13 @@ impl Histogram {
     }
 
     /// Total observations.
+    #[expect(clippy::disallowed_methods, reason = "a sum is order-neutral")]
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
     }
 
     /// (value, count) pairs sorted by value.
+    #[expect(clippy::disallowed_methods, reason = "sorted right after collecting")]
     pub fn sorted(&self) -> Vec<(i64, u64)> {
         let mut v: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_unstable();

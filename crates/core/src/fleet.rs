@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn fig3_most_ips_probe_more_than_once() {
         let (_sim, mut f) = fleet(16_000);
-        let mut counts: netsim::hash::HashMap<Ipv4, u32> = netsim::hash::HashMap::default();
+        let mut counts: std::collections::BTreeMap<Ipv4, u32> = std::collections::BTreeMap::new();
         for _ in 0..51_837 {
             let s = f.assign(SimTime::ZERO);
             *counts.entry(s.ip).or_insert(0) += 1;

@@ -10,11 +10,12 @@ use crate::Scale;
 use gfw_core::probe::ProbeRecord;
 use netsim::hash::HashMap;
 use netsim::packet::Ipv4;
+use std::collections::BTreeMap;
 
 /// Result of the Fig 3 analysis.
 pub struct Fig3 {
     /// Probes per address.
-    pub per_ip: HashMap<Ipv4, u64>,
+    pub per_ip: BTreeMap<Ipv4, u64>,
     /// Total probes.
     pub total: u64,
 }
@@ -68,14 +69,12 @@ impl std::fmt::Display for Fig3 {
             self.max_count()
         )?;
         // Distribution histogram (count-of-counts).
-        let mut dist: HashMap<u64, usize> = HashMap::default();
+        let mut dist: BTreeMap<u64, usize> = BTreeMap::new();
         for &c in self.per_ip.values() {
             *dist.entry(c).or_insert(0) += 1;
         }
-        let mut keys: Vec<u64> = dist.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            writeln!(f, "  {k:>3} probes: {:>6} addresses", dist[&k])?;
+        for (k, n) in dist {
+            writeln!(f, "  {k:>3} probes: {n:>6} addresses")?;
         }
         writeln!(f)?;
         write!(f, "{}", self.comparison().render())
@@ -84,13 +83,13 @@ impl std::fmt::Display for Fig3 {
 
 /// Analyze probe records.
 pub fn analyze(probes: &[ProbeRecord]) -> Fig3 {
-    let mut per_ip = HashMap::default();
+    let mut per_ip: HashMap<Ipv4, u64> = HashMap::default();
     for p in probes {
-        *per_ip.entry(p.src).or_insert(0u64) += 1;
+        *per_ip.entry(p.src).or_insert(0) += 1;
     }
     Fig3 {
         total: probes.len() as u64,
-        per_ip,
+        per_ip: per_ip.into_iter().collect(),
     }
 }
 

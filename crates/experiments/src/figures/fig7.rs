@@ -97,6 +97,7 @@ impl std::fmt::Display for Fig7 {
 }
 
 /// Analyze probe records.
+#[expect(clippy::disallowed_methods, reason = "`Cdf::new` sorts its samples")]
 pub fn analyze(probes: &[ProbeRecord]) -> Fig7 {
     let mut all = Vec::new();
     let mut first: HashMap<u64, f64> = HashMap::default();

@@ -159,6 +159,10 @@ fn mix(seed: u64, loss_idx: u64, case_idx: u64) -> u64 {
 /// Re-roll every sample of every row through the wire-fate model.
 /// Counts are expanded in taxonomy order (`Reaction: Ord`) so the
 /// result never depends on hash-map iteration order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "collected into a BTreeMap before use"
+)]
 fn transform_rows(rows: &[MatrixRow], loss: f64, rng: &mut StdRng) -> Vec<MatrixRow> {
     rows.iter()
         .map(|row| {

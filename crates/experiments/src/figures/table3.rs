@@ -7,12 +7,13 @@ use crate::report::{Comparison, Table};
 use crate::runs::{shadowsocks_run, SsRunConfig};
 use crate::Scale;
 use gfw_core::probe::ProbeRecord;
-use netsim::hash::{HashMap, HashSet};
+use netsim::hash::HashSet;
+use std::collections::BTreeMap;
 
 /// Result: unique prober addresses per AS.
 pub struct Table3 {
     /// ASN → unique address count.
-    pub per_as: HashMap<u32, usize>,
+    pub per_as: BTreeMap<u32, usize>,
     /// Unique addresses total.
     pub unique_total: usize,
 }
@@ -70,7 +71,11 @@ impl std::fmt::Display for Table3 {
 /// Analyze probe records.
 pub fn analyze(probes: &[ProbeRecord]) -> Table3 {
     let unique: HashSet<_> = probes.iter().map(|p| p.src).collect();
-    let mut per_as: HashMap<u32, usize> = HashMap::default();
+    let mut per_as: BTreeMap<u32, usize> = BTreeMap::new();
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each address adds one to its AS, so the counts cannot see the order"
+    )]
     for ip in &unique {
         if let Some(e) = analysis::asn::lookup(*ip) {
             *per_as.entry(e.asn).or_insert(0) += 1;

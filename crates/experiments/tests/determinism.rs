@@ -223,12 +223,11 @@ fn check_row(jobs: &str, env: &[(&str, &str)]) {
     );
 }
 
-/// One test per row over three axes: `--jobs` (1/4), `GFWSIM_ENGINE`
-/// (packet/unset, i.e. hybrid) and `GFWSIM_NO_HWCRYPTO` (unset/1). The
-/// four rows are a pairwise cover: every value of each axis meets every
-/// value of the other two; the full 2×2×2 product would double the
-/// spawns for no pair it does not already cover. On a machine without
-/// the CPU features both hardware legs run scalar.
+/// One test per row of the full product of three axes: `--jobs` (1/4),
+/// `GFWSIM_ENGINE` (packet/unset, i.e. hybrid) and `GFWSIM_NO_HWCRYPTO`
+/// (unset/1), so a fault that shows only where all three meet still
+/// fails a row. On a machine without the CPU features both hardware
+/// legs run scalar.
 macro_rules! matrix {
     ($($name:ident: $jobs:literal, [$($env:expr),*];)*) => {
         $(
@@ -245,9 +244,13 @@ const NO_HW: (&str, &str) = ("GFWSIM_NO_HWCRYPTO", "1");
 
 matrix! {
     matrix_jobs1_packet_hw: "1", [PACKET];
+    matrix_jobs1_packet_nohw: "1", [PACKET, NO_HW];
+    matrix_jobs1_hybrid_hw: "1", [];
     matrix_jobs1_hybrid_nohw: "1", [NO_HW];
+    matrix_jobs4_packet_hw: "4", [PACKET];
     matrix_jobs4_packet_nohw: "4", [PACKET, NO_HW];
     matrix_jobs4_hybrid_hw: "4", [];
+    matrix_jobs4_hybrid_nohw: "4", [NO_HW];
 }
 
 #[test]

@@ -42,21 +42,6 @@ pub const RULES: &[RuleDoc] = &[
                  A member without `[lints] workspace = true` has no escape.",
     },
     RuleDoc {
-        id: "R1",
-        summary: "determinism taint: no hash-ordered iteration reachable from the Simulator",
-        rationale: "R1 walks a name-based call graph from `impl Simulator` \
-                    methods across every crate the sim can reach (including \
-                    `shadowsocks`, `sscrypto`, `analysis`) and flags \
-                    `HashMap`/`HashSet` iteration whose order can leak into \
-                    output. Hash iteration order is per-process-seeded, so one \
-                    stray `.iter()` makes two identically-seeded runs diverge. \
-                    The graph is name-based and over-approximate on purpose: \
-                    dyn-dispatch never escapes it.",
-        escape: "`// gfwlint: allow(R1)` on the source line, after convincing \
-                 yourself the order cannot reach simulator output; or switch \
-                 to a BTree container, or sort before iterating.",
-    },
-    RuleDoc {
         id: "W1",
         summary: "wrapping-arithmetic discipline on hot-path integer state",
         rationale: "Release builds wrap silently on overflow. In the hot-path \
@@ -66,8 +51,9 @@ pub const RULES: &[RuleDoc] = &[
                     state that crosses a function boundary (params, `self` \
                     fields) must say what it means: `wrapping_*` when wrap is \
                     the semantics (hashes, counters), `checked_*`/`saturating_*` \
-                    when it is not. The ci.sh overflow-checks test run \
-                    cross-checks these findings dynamically.",
+                    when it is not. ci.sh runs every test suite with \
+                    overflow checks on, which cross-checks these findings \
+                    dynamically.",
         escape: "`// gfwlint: allow(W1)` with a comment proving the bound (e.g. \
                  index arithmetic already bounds-checked by the slice).",
     },
@@ -98,12 +84,12 @@ mod tests {
 
     #[test]
     fn every_rule_documented_and_found() {
-        for id in ["A1", "H1", "R1", "W1"] {
+        for id in ["A1", "H1", "W1"] {
             let text = explain(id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(text.contains(id));
             assert!(text.contains("Escape hatch"));
         }
-        for gone in ["Z9", "P1", "C1"] {
+        for gone in ["Z9", "P1", "C1", "R1"] {
             assert!(explain(gone).is_none(), "{gone}");
         }
         assert!(explain("w1").is_some(), "case-insensitive lookup");
@@ -112,7 +98,7 @@ mod tests {
     #[test]
     fn index_lists_all() {
         let idx = index();
-        assert_eq!(RULES.len(), 4);
+        assert_eq!(RULES.len(), 3);
         for d in RULES {
             assert!(idx.contains(d.id));
         }

@@ -6,7 +6,7 @@
 //!
 //! * **functions** with their module/impl path, parameter list (name +
 //!   type text), body token range and line span, so findings attribute
-//!   to the enclosing function and the call graph has nodes;
+//!   to the enclosing function;
 //! * **`#[cfg(...)]` regions**, evaluated exactly: `#[cfg(test)]`,
 //!   `#[cfg(all(test, …))]` and nested test modules all mark their
 //!   whole item span as test-only (`any(test, …)` does **not** — such
@@ -29,8 +29,6 @@ pub struct FnItem {
     /// Qualified path: enclosing modules and impl self-type joined with
     /// `::` (e.g. `eventq::EventQueue::push`), without the crate name.
     pub qual: String,
-    /// Impl self-type when this is a method (`EventQueue`), else None.
-    pub impl_type: Option<String>,
     /// Parameters as `(name, type text)`; `self` receivers appear as
     /// `("self", "Self")`.
     pub params: Vec<(String, String)>,
@@ -208,15 +206,9 @@ pub fn build(src: &str, toks: &[Tok]) -> ItemTree {
                         let name = name_at.map(|x| text(x).to_string()).unwrap_or_default();
                         let params = parse_params(src, toks, &sig, &header, name_at);
                         let qual = qual_path(&scopes, &name);
-                        let impl_type = scopes.iter().rev().find_map(|s| {
-                            (s.kind == ScopeKind::Impl || s.kind == ScopeKind::Trait)
-                                .then(|| s.path_seg.clone())
-                                .flatten()
-                        });
                         tree.fns.push(FnItem {
                             name,
                             qual,
-                            impl_type,
                             params,
                             line_start: start_line,
                             line_end: t.line,   // fixed at close
@@ -544,7 +536,7 @@ fn parse_params(
         // Split at the top-level `:` (angle-bracket aware for the type).
         let Some(colon) = part
             .iter()
-            .position(|&i| toks[*&i].kind == TokKind::Punct(':'))
+            .position(|&i| toks[i].kind == TokKind::Punct(':'))
         else {
             continue;
         };
@@ -689,7 +681,6 @@ mod tests {
         let t = tree(src);
         assert_eq!(t.fns.len(), 2);
         assert_eq!(t.fns[0].qual, "a::S::bump");
-        assert_eq!(t.fns[0].impl_type.as_deref(), Some("S"));
         assert_eq!(
             t.fns[0].params,
             vec![
@@ -709,7 +700,7 @@ mod tests {
     fn trait_impl_self_type() {
         let src = "impl<T: Ord> std::fmt::Display for Entry<T> {\n    fn fmt(&self) {}\n}\n";
         let t = tree(src);
-        assert_eq!(t.fns[0].impl_type.as_deref(), Some("Entry"));
+        assert_eq!(t.fns[0].qual, "Entry::fmt");
     }
 
     #[test]

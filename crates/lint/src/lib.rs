@@ -3,28 +3,28 @@
 //! A dependency-free static-analysis engine for this workspace. Every
 //! `.rs` file is run through a hand-rolled span lexer ([`lex`]) and an
 //! item-tree pass ([`items`]) recovering functions, impls and `#[cfg]`
-//! regions; [`scan`] projects that onto per-line
-//! code/comment views, and [`callgraph`] builds the name-based call
-//! graph R1 walks. The rules, reported as `file:line` findings:
+//! regions, and [`scan`] projects that onto per-line code/comment
+//! views. The rules, reported as `file:line` findings:
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | `A1` | Heap-allocation sites (`.to_vec()` / `Vec::new()` / `.clone()`) in the non-test code of the crypto hot path (`sscrypto` and `shadowsocks::wire`) stay within the checked-in `[alloc-budget]` (`lint-baseline.toml`), which only ratchets downward — per-chunk allocations must not creep back into the codec. |
 //! | `H1` | Member `Cargo.toml`s take every dependency via `workspace = true` (versions live only in the root `[workspace.dependencies]`) and inherit the workspace lints with `[lints] workspace = true`; a crate with audited `unsafe` islands may instead carry its own `[lints.*]` tables that repeat the workspace lints with only `unsafe_code` relaxed to `deny`. |
-//! | `R1` | Determinism taint: no hash-ordered `HashMap`/`HashSet` iteration in any function reachable from an `impl Simulator` method, across every crate the sim can depend on (including `shadowsocks`, `sscrypto`, `analysis`). |
 //! | `W1` | In the hot-path modules (`sscrypto`, `netsim::eventq`, `gfw_core::passive`, `shadowsocks::wire`), bare `+`/`*`/`<<` (and their `=`-compounds) on integer state crossing a function boundary (params, `self` fields) must be `wrapping_*`/`checked_*`/`saturating_*` or carry an allow. |
 //!
 //! The toolchain enforces the rest: `clippy.toml` bans the host clock,
-//! threads outside `experiments::runner` and `BinaryHeap` outside
-//! `netsim::eventq`, and `[workspace.lints]` forbids `unsafe_code`,
-//! warns on `missing_docs`, asks every `#[allow]` for a reason, every
-//! `unsafe` block for a `// SAFETY:` comment and every `unsafe fn`
-//! (private ones too, by `clippy.toml`'s `check-private-items`) for a
-//! `# Safety` doc section. The protocol crates (`core`, `netsim`,
-//! `shadowsocks`, `sscrypto`, `trafficgen`) warn on `unwrap`, `expect`,
-//! `panic!` and `unreachable!` outside tests by crate attribute, and the
-//! protocol constants (IV and salt lengths, the probe length sweep, the
-//! wire framing) are pinned by those crates' own tests.
+//! threads outside `experiments::runner`, `BinaryHeap` outside
+//! `netsim::eventq` and the hash-ordered `HashMap`/`HashSet` methods,
+//! and `[workspace.lints]` flags `for` loops over hash containers,
+//! forbids `unsafe_code`, warns on `missing_docs`, asks every `#[allow]`
+//! for a reason, every `unsafe` block for a `// SAFETY:` comment and
+//! every `unsafe fn` (private ones too, by `clippy.toml`'s
+//! `check-private-items`) for a `# Safety` doc section. The protocol
+//! crates (`core`, `netsim`, `shadowsocks`, `sscrypto`, `trafficgen`)
+//! warn on `unwrap`, `expect`, `panic!` and `unreachable!` outside tests
+//! by crate attribute, and the protocol constants (IV and salt lengths,
+//! the probe length sweep, the wire framing) are pinned by those crates'
+//! own tests.
 //!
 //! Individual findings can be suppressed with an inline escape —
 //! `// gfwlint: allow(W1)` on the offending line or alone on the line
@@ -38,7 +38,6 @@
 //! `--explain RULE` (print a rule's rationale and escape hatch).
 
 pub mod baseline;
-pub mod callgraph;
 pub mod explain;
 pub mod items;
 pub mod lex;
@@ -53,7 +52,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule ID (`A1`, `H1`, `R1` or `W1`).
+    /// Rule ID (`A1`, `H1` or `W1`).
     pub rule: &'static str,
     /// File path relative to the workspace root.
     pub file: String,
@@ -235,7 +234,6 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     };
     rules::a1_alloc_budget(&ws, &mut report)?;
     rules::h1_workspace_deps(&ws, &mut report)?;
-    callgraph::r1_determinism_taint(&ws, &mut report);
     rules::w1_wrapping_audit(&ws, &mut report);
     Ok(report)
 }

@@ -36,7 +36,7 @@ fn parse_args() -> Result<Args, String> {
             "--explain" => {
                 let rule = it
                     .next()
-                    .ok_or("--explain needs a rule ID (try `--explain R1`)")?;
+                    .ok_or("--explain needs a rule ID (try `--explain W1`)")?;
                 args.explain = Some(rule);
             }
             "--help" | "-h" => {
@@ -44,12 +44,11 @@ fn parse_args() -> Result<Args, String> {
                     "gfw-lint: workspace invariant checker\n\n\
                      USAGE: gfw-lint [--root DIR] [--json] [--bless] [--explain RULE]\n\n\
                      Rules: A1 allocation budget (crypto hot path), H1 workspace\n\
-                     dependencies and lints, R1 determinism taint (hash-ordered\n\
-                     iteration reachable from the Simulator), W1 wrapping-\n\
-                     arithmetic discipline on the hot path. Clock, thread and\n\
-                     heap bans live in clippy.toml; SAFETY comments and panic\n\
-                     sites are clippy lints; protocol constants are pinned by\n\
-                     the protocol crates' own tests.\n\
+                     dependencies and lints, W1 wrapping-arithmetic discipline\n\
+                     on the hot path. Clock, thread, heap and hash-order bans\n\
+                     live in clippy.toml; SAFETY comments and panic sites are\n\
+                     clippy lints; protocol constants are pinned by the\n\
+                     protocol crates' own tests.\n\
                      Suppress one finding with `// gfwlint: allow(RULE)`.\n\n\
                      --root DIR     lint this workspace (default: nearest enclosing workspace)\n\
                      --json         machine-readable output (incl. per-function allocation sites)\n\

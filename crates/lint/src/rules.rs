@@ -1,4 +1,4 @@
-//! The lint rules (R1 lives in [`crate::callgraph`]).
+//! The lint rules.
 //!
 //! Each rule pushes [`Finding`]s (and honored allow-escapes) into the
 //! shared [`Report`]. Token rules operate on the comment/string-stripped

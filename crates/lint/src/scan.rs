@@ -14,7 +14,7 @@
 //! * whether the line sits inside a `#[cfg(test)]`-gated item —
 //!   **exact**, including nested `mod tests` and `#[cfg(all(test, …))]`
 //!   forms, because it comes from the item tree rather than a regex;
-//! * the full token stream and item tree themselves, which the R1 and W1
+//! * the full token stream and item tree themselves, which the A1 and W1
 //!   rules query directly.
 
 use crate::items::{self, ItemTree};
@@ -171,29 +171,6 @@ fn parse_allows(comment: &str) -> Vec<String> {
     out
 }
 
-/// Does `code` contain `token` at an identifier boundary on both sides?
-pub fn has_token(code: &str, token: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(token) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + token.len();
-        let after_ok = !code[after..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + token.len();
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +192,7 @@ mod tests {
         let src = "\
 let a = 1; // gfwlint: allow(A1)
 /* gfwlint: allow(W1) */ let b = 2;
-let c = 3; /* gfwlint: allow(R1) */
+let c = 3; /* gfwlint: allow(A1) */
 /* spans
    gfwlint: allow(H1) */
 let d = 4;
@@ -223,7 +200,7 @@ let d = 4;
         let f = SourceFile::scan("t.rs", src);
         assert_eq!(f.lines[0].allows, vec!["A1"]);
         assert_eq!(f.lines[1].allows, vec!["W1"]);
-        assert_eq!(f.lines[2].allows, vec!["R1"]);
+        assert_eq!(f.lines[2].allows, vec!["A1"]);
         // A block comment's allow on a comment-only line applies to the
         // next code line.
         assert_eq!(f.lines[5].allows, vec!["H1"]);
@@ -298,16 +275,5 @@ fn gated() { z.unwrap(); }
         assert_eq!(f.lines[0].allows, vec!["A1"]);
         assert!(f.lines[1].allows.is_empty() || f.lines[1].code.trim().is_empty());
         assert_eq!(f.lines[2].allows, vec!["A1", "W1"]);
-    }
-
-    #[test]
-    fn token_boundaries() {
-        assert!(has_token("Method::ChaCha20 => 8", "ChaCha20"));
-        assert!(!has_token("Method::ChaCha20Ietf => 12", "ChaCha20"));
-        assert!(!has_token("XChaCha20IetfPoly1305", "ChaCha20IetfPoly1305"));
-        assert!(has_token(
-            "Method::ChaCha20IetfPoly1305 => 32",
-            "ChaCha20IetfPoly1305"
-        ));
     }
 }

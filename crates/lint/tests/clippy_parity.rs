@@ -1,11 +1,13 @@
 //! Clippy parity: the toolchain now enforces the bans gfw-lint once
-//! scanned for by token. The root `clippy.toml` bans the host clock,
-//! threads outside `experiments::runner` and `BinaryHeap` outside
-//! `netsim::eventq`; `[workspace.lints]` forbids `unsafe_code`, warns on
-//! `missing_docs`, asks every `#[allow]` for a reason, every `unsafe`
-//! block for a `// SAFETY:` comment and every `unsafe fn` for a
-//! `# Safety` section (private ones too, by `clippy.toml`'s
-//! `check-private-items`); H1 makes every member inherit those lints.
+//! scanned for by token or by call graph. The root `clippy.toml` bans
+//! the host clock, threads outside `experiments::runner`, `BinaryHeap`
+//! outside `netsim::eventq` and the hash-ordered `HashMap`/`HashSet`
+//! methods; `[workspace.lints]` flags `for` loops over hash containers,
+//! forbids `unsafe_code`, warns on `missing_docs`, asks every `#[allow]`
+//! for a reason, every `unsafe` block for a `// SAFETY:` comment and
+//! every `unsafe fn` for a `# Safety` section (private ones too, by
+//! `clippy.toml`'s `check-private-items`); H1 makes every member
+//! inherit those lints.
 //! The protocol crates warn on `unwrap`, `expect`, `panic!` and
 //! `unreachable!` by crate attribute, and `clippy.toml`'s
 //! `allow-*-in-tests` keys exempt test code from the first three.
@@ -136,6 +138,36 @@ fn heaps_outside_the_event_queue() {
         &[
             ("crates/netsim/src/sched.rs:4", "clippy::disallowed_types"),
             ("crates/netsim/src/sched.rs:9", "clippy::disallowed_types"),
+        ],
+    );
+}
+
+#[test]
+fn hash_order_in_every_crate() {
+    let fixture = "hash_order";
+    assert_eq!(
+        workspace_lints(&fixture_root(fixture).join("Cargo.toml")),
+        workspace_lints(&repo_root().join("Cargo.toml")),
+        "the fixture must carry the root's workspace lints verbatim"
+    );
+    // `for` over a std map and over the path-qualified `netsim::hash`
+    // alias, and `.keys()` in a helper the simulator reaches in another
+    // crate. The order-neutral `.values().sum()` is flagged too: the
+    // bans do not know what the caller does with the order. The waived
+    // `.keys()` in `sscrypto::trace_keys` (line 13) carries an
+    // `#[expect]`; were its ban dropped, the unfulfilled expectation
+    // would show up here.
+    //
+    // Not flagged, and so not enforced: a map consumed through
+    // `IntoIterator` outside a `for` loop. `flows.into_iter()` (line 33)
+    // and `peers.extend(&self.peers)` (line 36) both leak hash order.
+    assert_clippy(
+        fixture,
+        &[
+            ("crates/core/src/lib.rs:19", "clippy::disallowed_methods"),
+            ("crates/core/src/lib.rs:20", "clippy::iter_over_hash_type"),
+            ("crates/core/src/lib.rs:23", "clippy::iter_over_hash_type"),
+            ("crates/sscrypto/src/lib.rs:7", "clippy::disallowed_methods"),
         ],
     );
 }

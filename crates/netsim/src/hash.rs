@@ -23,8 +23,9 @@
 //! into the low half spreads those keys (`shared_low_bits_spread`).
 //!
 //! Iteration order is fixed by the hasher, but it is still hash order:
-//! the determinism lint (`gfw-lint` rule R1) flags sim-reachable code
-//! that iterates these maps exactly as it flags std's.
+//! the aliases are std's types, so clippy's hash-order bans
+//! (`clippy.toml`, `iter_over_hash_type`) flag iterating them exactly
+//! as they flag std's.
 
 use std::hash::{BuildHasher, Hasher};
 

@@ -18,6 +18,7 @@ pub struct MatrixRow {
 
 impl MatrixRow {
     /// Total probes in this row.
+    #[expect(clippy::disallowed_methods, reason = "a sum is order-neutral")]
     pub fn total(&self) -> usize {
         self.counts.values().sum()
     }
@@ -33,6 +34,7 @@ impl MatrixRow {
     /// The dominant reaction, if any probes were sent. Count ties break
     /// on the taxonomy order so the answer never depends on hash-map
     /// iteration order.
+    #[expect(clippy::disallowed_methods, reason = "a maximum under a total order")]
     pub fn dominant(&self) -> Option<Reaction> {
         self.counts
             .iter()
@@ -42,6 +44,7 @@ impl MatrixRow {
 
     /// Render like a Fig 10 cell: the dominant reaction, annotated with
     /// minority reactions when present.
+    #[expect(clippy::disallowed_methods, reason = "sorted right after collecting")]
     pub fn cell(&self) -> String {
         let mut parts: Vec<(Reaction, usize)> = self.counts.iter().map(|(&r, &c)| (r, c)).collect();
         parts.sort_by_key(|&(r, c)| (std::cmp::Reverse(c), r));

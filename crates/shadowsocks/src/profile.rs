@@ -236,17 +236,17 @@ mod tests {
             Profile::LIBEV_NEW.error_reaction,
             ErrorReaction::KeepReading
         );
-        assert!(!Profile::OUTLINE_1_0_7.replay_filter);
-        assert!(Profile::OUTLINE_1_1_0.replay_filter);
+        const _: () = assert!(!Profile::OUTLINE_1_0_7.replay_filter);
+        const _: () = assert!(Profile::OUTLINE_1_1_0.replay_filter);
         // §11: ss-rust gained its replay defense in v1.8.5.
-        assert!(!Profile::SS_RUST_OLD.replay_filter);
-        assert!(Profile::SS_RUST_1_8_5.replay_filter);
+        const _: () = assert!(!Profile::SS_RUST_OLD.replay_filter);
+        const _: () = assert!(Profile::SS_RUST_1_8_5.replay_filter);
     }
 
     #[test]
     fn outline_is_aead_only() {
-        assert!(!Profile::OUTLINE_1_0_6.supports_stream);
-        assert!(Profile::LIBEV_OLD.supports_stream);
+        const _: () = assert!(!Profile::OUTLINE_1_0_6.supports_stream);
+        const _: () = assert!(Profile::LIBEV_OLD.supports_stream);
     }
 
     #[test]

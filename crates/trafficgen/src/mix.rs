@@ -423,6 +423,7 @@ mod tests {
     use netsim::capture::Capture;
     use netsim::hash::HashMap;
     use netsim::{EngineMode, Payload, SimConfig};
+    use std::collections::BTreeMap;
 
     fn run_mix(engine: EngineMode, spec: &MixSpec) -> (MixHandles, Vec<netsim::packet::Packet>) {
         let config = SimConfig {
@@ -542,7 +543,7 @@ mod tests {
                 .map(|((_, addr), p)| (*addr, p))
                 .collect();
             // Per connection: (expected prefix, server data read so far).
-            let mut conns: HashMap<ConnId, (Vec<u8>, Vec<u8>)> = HashMap::default();
+            let mut conns: BTreeMap<ConnId, (Vec<u8>, Vec<u8>)> = BTreeMap::new();
             let mut synth_segments = 0usize;
             for pkt in sim.capture(cap).packets() {
                 let Some(p) = profile_at.get(&pkt.src).filter(|_| pkt.has_payload()) else {
@@ -604,7 +605,7 @@ mod tests {
             .map(|((_, addr), p)| (*addr, p))
             .collect();
         // Per connection: its profile and the bulk bytes sent.
-        let mut conns: HashMap<ConnId, (Profile, u64)> = HashMap::default();
+        let mut conns: BTreeMap<ConnId, (Profile, u64)> = BTreeMap::new();
         for pkt in sim.capture(cap).packets() {
             let Some(p) = profile_at.get(&pkt.src).filter(|_| pkt.has_payload()) else {
                 continue;
